@@ -74,8 +74,7 @@ type enqueue_outcome =
   | Enqueued of { index : int; retrieve_repair : int option }
   | Rejected of { add_repair : int option; retrieve_repair : int option }
 
-let read_and_advance t reg ctx =
-  Register.read_modify_write reg ctx 0 (fun v -> next_index t v)
+let read_and_advance t reg ctx = Register.read_and_advance reg ctx 0 ~wrap:t.wrap
 
 let enqueue t ctx entry =
   (* (1) pointer stage: optimistic read-and-increment (§4.2). *)
@@ -169,7 +168,7 @@ let dequeue t ctx =
        it fails when the queue is empty (the optimistic increment was a
        mistake, to be lazily repaired) and in pointer-repair windows. *)
     let slot = r mod t.capacity in
-    let stamp = Register.read_modify_write t.stamps ctx slot (fun _ -> free_stamp t) in
+    let stamp = Register.read_and_set t.stamps ctx slot (free_stamp t) in
     if stamp <> r && not !debug_skip_stamp_check then Empty
     else begin
       let image =
@@ -199,7 +198,7 @@ let swap t ctx ~index entry =
   let slot = index mod t.capacity in
   (* The stamp RMW both validates the slot and claims it for the
      incoming task in a single access. *)
-  let old_stamp = Register.read_modify_write t.stamps ctx slot (fun _ -> index) in
+  let old_stamp = Register.read_and_set t.stamps ctx slot index in
   if old_stamp <> index then begin
     (* Not a pending task: restore the stamp we clobbered.  On hardware
        the stamp RMW would be conditional on the predicate computed in
@@ -212,7 +211,7 @@ let swap t ctx ~index entry =
     let image = Entry.to_words entry in
     let old_image =
       Array.mapi
-        (fun i word -> Register.read_modify_write t.words.(i) ctx slot (fun _ -> word))
+        (fun i word -> Register.read_and_set t.words.(i) ctx slot word)
         image
     in
     Swapped (Entry.of_words old_image)

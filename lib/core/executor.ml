@@ -18,7 +18,14 @@ type t = {
   fabric : Message.t Fabric.t;
   engine : Engine.t;
   addr : Addr.t;
+  info : Message.executor_info;
+  request : Message.t;  (* the Task_request this executor always sends *)
   obs_track : string;  (* cached so the disabled path never formats *)
+  (* Pending watchdog checks, each carrying the generation of the send
+     that armed it.  The window is fixed, so checks expire in send
+     order. *)
+  watchdog : (t, int) Delay_line.t;
+  mutable retry : unit -> unit;  (* the no-op retry, allocated once *)
   mutable on_task_start : Task.t -> node:int -> unit;
   mutable busy : bool;
   mutable pending_fetch : (Task.t * Addr.t) option;
@@ -34,50 +41,56 @@ type t = {
   mutable busy_time : Time.t;
 }
 
-let create ~config ~fabric () =
-  {
-    config;
-    fabric;
-    engine = Fabric.engine fabric;
-    addr = Addr.Host config.node;
-    obs_track = Printf.sprintf "exec %d:%d" config.node config.port;
-    on_task_start = (fun _ ~node:_ -> ());
-    busy = false;
-    pending_fetch = None;
-    stopped = false;
-    generation = 0;
-    epoch = 0;
-    slowdown = 1.0;
-    tasks_executed = 0;
-    busy_time = 0;
-  }
-
-let info t : Message.executor_info =
-  {
-    exec_addr = t.addr;
-    exec_port = t.config.port;
-    exec_rsrc = t.config.rsrc;
-    exec_node = t.config.node;
-  }
-
 let rec send_request t =
   if not t.stopped then begin
     t.generation <- t.generation + 1;
-    Fabric.send t.fabric ~src:t.addr ~dst:t.config.scheduler
-      (Message.Task_request { info = info t; rtrv_prio = 1 });
+    Fabric.send t.fabric ~src:t.addr ~dst:t.config.scheduler t.request;
     match t.config.watchdog with
     | None -> ()
     | Some window ->
-      let generation = t.generation in
-      ignore
-        (Engine.schedule t.engine ~after:window (fun () ->
-             if (not t.stopped) && (not t.busy) && t.generation = generation then
-               send_request t))
+      Delay_line.push t.watchdog ~at:(Engine.now t.engine + window) t t.generation
   end
+
+(* A reply (or a newer send) since the check was armed bumped the
+   generation, which turns the check into a no-op. *)
+and watchdog_check t generation =
+  if (not t.stopped) && (not t.busy) && t.generation = generation then send_request t
+
+let create ~config ~fabric () =
+  let engine = Fabric.engine fabric in
+  let addr = Addr.Host config.node in
+  let info : Message.executor_info =
+    { exec_addr = addr; exec_port = config.port; exec_rsrc = config.rsrc;
+      exec_node = config.node }
+  in
+  let t =
+    {
+      config;
+      fabric;
+      engine;
+      addr;
+      info;
+      request = Message.Task_request { info; rtrv_prio = 1 };
+      obs_track = Printf.sprintf "exec %d:%d" config.node config.port;
+      watchdog = Delay_line.create engine watchdog_check;
+      retry = ignore;
+      on_task_start = (fun _ ~node:_ -> ());
+      busy = false;
+      pending_fetch = None;
+      stopped = false;
+      generation = 0;
+      epoch = 0;
+      slowdown = 1.0;
+      tasks_executed = 0;
+      busy_time = 0;
+    }
+  in
+  t.retry <- (fun () -> send_request t);
+  t
 
 let start ?(after = 0) t =
   if after = 0 then send_request t
-  else ignore (Engine.schedule t.engine ~after (fun () -> send_request t))
+  else ignore (Engine.schedule t.engine ~after t.retry)
 
 let set_on_task_start t f = t.on_task_start <- f
 let stop t = t.stopped <- true
@@ -159,7 +172,7 @@ and run t (task : Task.t) ~client =
              task request piggybacked (§3.1). *)
           Fabric.send t.fabric ~src:t.addr ~dst:t.config.scheduler
             (Message.Task_completion
-               { task_id = task.id; client; info = info t; rtrv_prio = 1 })
+               { task_id = task.id; client; info = t.info; rtrv_prio = 1 })
       end
     end
   in
@@ -174,8 +187,7 @@ let deliver t (msg : Message.t) =
     t.generation <- t.generation + 1;
     match msg with
     | Task_assignment { task; client; port = _ } -> execute t task ~client
-    | Noop_assignment _ ->
-      ignore (Engine.schedule t.engine ~after:t.config.noop_retry (fun () -> send_request t))
+    | Noop_assignment _ -> ignore (Engine.schedule t.engine ~after:t.config.noop_retry t.retry)
     | Param_data { task_id; size; port = _ } -> (
       match t.pending_fetch with
       | Some (task, client) when Task.equal_id task.id task_id ->

@@ -236,26 +236,29 @@ let loss_probability t =
       if flip_p > 0.0 && Rng.float t.rng < flip_p then t.bad <- not t.bad;
       if t.bad then loss_bad else t.config.loss)
 
+(* The delivery event.  It captures only the fabric and the envelope,
+   which carries everything the delivery needs. *)
+let arrive t env () =
+  match handler_of t env.dst with
+  | Some handler ->
+    t.delivered <- t.delivered + 1;
+    Obs.Recorder.count "fabric.delivered" 1;
+    Option.iter Obs.Int_telemetry.deliver_stack env.int_;
+    handler env
+  | None ->
+    t.undeliverable <- t.undeliverable + 1;
+    Obs.Recorder.count "fabric.undeliverable" 1;
+    Option.iter Obs.Int_telemetry.drop_stack env.int_;
+    if Trace.enabled () then
+      Trace.emit ~at:(Engine.now t.engine) Trace.Fabric
+        (lazy
+          (Printf.sprintf "DROP (no handler) %s -> %s" (Addr.to_string env.src)
+             (Addr.to_string env.dst)))
+
 let deliver t ?int_ ~src ~dst ~now payload =
   let env = { src; dst; sent_at = now; payload; int_ } in
   let delay = latency_sample t src dst in
-  ignore
-    (Engine.schedule t.engine ~after:delay (fun () ->
-         match handler_of t dst with
-         | Some handler ->
-           t.delivered <- t.delivered + 1;
-           Obs.Recorder.count "fabric.delivered" 1;
-           Option.iter Obs.Int_telemetry.deliver_stack env.int_;
-           handler env
-         | None ->
-           t.undeliverable <- t.undeliverable + 1;
-           Obs.Recorder.count "fabric.undeliverable" 1;
-           Option.iter Obs.Int_telemetry.drop_stack env.int_;
-           if Trace.enabled () then
-             Trace.emit ~at:(Engine.now t.engine) Trace.Fabric
-               (lazy
-                 (Printf.sprintf "DROP (no handler) %s -> %s" (Addr.to_string src)
-                    (Addr.to_string dst)))))
+  ignore (Engine.schedule t.engine ~after:delay (arrive t env))
 
 (* Drop decisions, off the lossless fast path.  The evaluation order
    (partition check, then the loss model's rng draws) is load-bearing

@@ -8,8 +8,10 @@
     the rule — an illegal "P4 program" fails loudly instead of silently
     computing something no switch could.
 
-    A recirculated packet re-enters the pipeline as a {e new} packet and
-    therefore gets a fresh context. *)
+    A recirculated packet re-enters the pipeline as a {e new} packet:
+    its next traversal starts with no register accessed.  The pipeline
+    runs one traversal at a time, so it keeps a single context and
+    {!reset}s it before each traversal instead of allocating one. *)
 
 type t
 
@@ -19,8 +21,9 @@ exception Access_violation of string
 
 val create : unit -> t
 
-(** Unique id of the traversal (diagnostics). *)
-val id : t -> int
+(** [reset t] forgets every access: the context is ready for the next
+    traversal. *)
+val reset : t -> unit
 
 (** [mark_access t ~reg_id ~reg_name] records an access.
     @raise Access_violation if [reg_id] was already accessed. *)

@@ -12,7 +12,7 @@
     Packets are admitted one at a time (a hardware pipeline starts one
     packet per clock; the per-packet admission slot models the inverse
     packet rate).  Each traversal runs the installed program under a
-    fresh {!Packet_ctx.t} and produces outputs: emit to an endpoint,
+    freshly reset {!Packet_ctx.t} and produces outputs: emit to an endpoint,
     recirculate, or drop.
 
     Recirculation re-submits a packet from egress to ingress as a new

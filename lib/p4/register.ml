@@ -57,6 +57,22 @@ let read_modify_write t ctx i f =
 
 let read_and_increment t ctx i = read_modify_write t ctx i (fun v -> v + 1)
 
+(* The two updates the circular queue's hot path needs, spelled out so
+   they take no closure. *)
+let read_and_set t ctx i v =
+  check_bounds t i;
+  access t ctx;
+  let old = t.cells.(i) in
+  t.cells.(i) <- v;
+  old
+
+let read_and_advance t ctx i ~wrap =
+  check_bounds t i;
+  access t ctx;
+  let old = t.cells.(i) in
+  t.cells.(i) <- (if old + 1 >= wrap then 0 else old + 1);
+  old
+
 let peek t i =
   check_bounds t i;
   t.cells.(i)

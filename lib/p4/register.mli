@@ -44,6 +44,15 @@ val read_and_increment : t -> Packet_ctx.t -> int -> int
     stores [f old].  Models a stateful ALU operation. *)
 val read_modify_write : t -> Packet_ctx.t -> int -> (int -> int) -> int
 
+(** [read_and_set t ctx i v] atomically returns the old value of cell
+    [i] and stores [v] (single access). *)
+val read_and_set : t -> Packet_ctx.t -> int -> int -> int
+
+(** [read_and_advance t ctx i ~wrap] atomically returns the old value
+    [v] of cell [i] and stores [v + 1], or [0] when [v + 1 >= wrap] — a
+    ring pointer's read-and-increment (single access). *)
+val read_and_advance : t -> Packet_ctx.t -> int -> wrap:int -> int
+
 (** [peek t i] reads without a context — control-plane access, not
     usable from the data path (tests and invariant checks only). *)
 val peek : t -> int -> int

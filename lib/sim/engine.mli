@@ -19,7 +19,9 @@
     per-event slots (recycled through a freelist, with generation
     counters guarding stale cancels), and the default {!Wheel} calendar
     keeps its buckets in flat integer arrays.  The only per-event
-    allocation left is the caller's closure. *)
+    allocation left is the caller's closure, and a stage whose items
+    leave in the order they enter avoids even that through
+    {!Delay_line}. *)
 
 type t
 

@@ -1,28 +1,31 @@
-type t = { mutable state : int64 }
+(* The state is the 8-byte payload of a [bytes]; the splitmix64 step
+   lives in rng_stubs.c so draws neither box the state nor their
+   result. *)
+type t = Bytes.t
 
-let golden_gamma = 0x9E3779B97F4A7C15L
+external mix : (int64[@unboxed]) -> (int64[@unboxed])
+  = "draconis_rng_mix_byte" "draconis_rng_mix"
+[@@noalloc]
 
-let mix64 z =
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-  Int64.logxor z (Int64.shift_right_logical z 31)
+external next : t -> (int64[@unboxed]) = "draconis_rng_next_byte" "draconis_rng_next"
+[@@noalloc]
 
-let create ~seed = { state = mix64 (Int64.of_int seed) }
+external float : t -> (float[@unboxed]) = "draconis_rng_float_byte" "draconis_rng_float"
+[@@noalloc]
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let split t = { state = bits64 t }
+let create ~seed = of_state (mix (Int64.of_int seed))
+let bits64 t = next t
+let split t = of_state (next t)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Rejection-free modulo is fine here: bounds are tiny relative to 2^63,
      so bias is negligible for simulation purposes. *)
-  Int64.to_int (Int64.rem (Int64.shift_right_logical (bits64 t) 1) (Int64.of_int bound))
+  Int64.to_int (Int64.rem (Int64.shift_right_logical (next t) 1) (Int64.of_int bound))
 
-let float t =
-  (* 53 random bits into [0,1). *)
-  Int64.to_float (Int64.shift_right_logical (bits64 t) 11) *. 0x1.0p-53
-
-let bool t = Int64.logand (bits64 t) 1L = 1L
+let bool t = Int64.logand (next t) 1L = 1L

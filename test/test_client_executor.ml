@@ -182,6 +182,139 @@ let test_executor_watchdog_resends () =
   Engine.run ~until:(Time.us 220) engine;
   Alcotest.(check bool) "watchdog re-sent the pull" true (!requests >= 4)
 
+(* -- Watchdog regression: the semantics its ring of pending checks keeps -- *)
+
+let watchdog = Time.us 200
+
+(* An executor against a scripted scheduler: [reply n] answers the
+   [n]-th request (1-based) or drops it by returning [None].  Returns
+   the send time of every request, in order. *)
+let request_log ~reply ~until =
+  let engine, fabric, _ = make_env () in
+  let sends = ref [] in
+  Fabric.register fabric Addr.Switch (fun env ->
+      match env.Fabric.payload with
+      | Message.Task_request _ -> (
+        sends := env.Fabric.sent_at :: !sends;
+        match reply (List.length !sends) with
+        | Some msg -> Fabric.send fabric ~src:Addr.Switch ~dst:(Addr.Host 0) msg
+        | None -> ())
+      | _ -> ());
+  let exec =
+    Executor.create ~config:(exec_config ~watchdog:(Some watchdog) ()) ~fabric ()
+  in
+  Fabric.register fabric (Addr.Host 0) (fun env -> Executor.deliver exec env.Fabric.payload);
+  Executor.start exec;
+  Engine.run ~until engine;
+  List.rev !sends
+
+let long_task = Task.make ~uid:0 ~jid:0 ~tid:1 ~fn_id:Task.Fn.busy_loop ~fn_par:(Time.ms 5) ()
+let assign task = Some (Message.Task_assignment { task; client = Addr.Host 9; port = 2 })
+let noop = Some (Message.Noop_assignment { port = 2 })
+
+let test_watchdog_resends_lost_request_once () =
+  (* The first request is lost; the re-send is answered with a task
+     that outlasts the run, so nothing else is sent. *)
+  let log =
+    request_log ~until:(Time.ms 2) ~reply:(function 1 -> None | _ -> assign long_task)
+  in
+  Alcotest.(check (list int)) "one re-send, one window after the lost send"
+    [ 0; watchdog ] log
+
+let test_watchdog_reply_first_is_noop () =
+  (* The reply lands long before the check fires; the executor runs a
+     short task and sends its completion, which arms no check.  The
+     pending check must not re-send. *)
+  let log =
+    request_log ~until:(Time.ms 2) ~reply:(function
+      | 1 -> assign (busy_task 1)
+      | _ -> None)
+  in
+  Alcotest.(check (list int)) "no re-send after a reply" [ 0 ] log
+
+let test_watchdog_many_outstanding_checks () =
+  (* No-op replies every 6 us keep ~33 checks pending at once, well past
+     the ring's initial size.  The 40th request is lost and so is every
+     re-send: each stale check must stay silent, and the live one must
+     fire exactly one window after the last send, over and over. *)
+  let lost_from = 40 in
+  let log =
+    request_log ~until:(Time.ms 1) ~reply:(fun n -> if n < lost_from then noop else None)
+  in
+  let poll_period = Time.us 6 in
+  let polls = List.init lost_from (fun k -> k * poll_period) in
+  let last_poll = (lost_from - 1) * poll_period in
+  let resends =
+    List.filter (fun at -> at <= Time.ms 1)
+      (List.init 5 (fun k -> last_poll + ((k + 1) * watchdog)))
+  in
+  Alcotest.(check bool) "more than 8 checks were pending" true
+    (watchdog / poll_period > 8);
+  Alcotest.(check (list int)) "polls, then one re-send per window" (polls @ resends) log
+
+(* The switch's log of the Task_requests it serves: (time, node, port). *)
+let cluster_request_log ~shards =
+  let config =
+    {
+      Cluster.default_config with
+      workers = 2;
+      executors_per_worker = 4;
+      clients = 1;
+      queue_capacity = 1024;
+      fabric_config = { Fabric.default_config with jitter = 0 };
+      shards;
+    }
+  in
+  (* Worker 0 is cut off for 300 us: the requests it sends then are lost
+     and only its watchdogs bring it back.  The window edges avoid the
+     instants executors send at. *)
+  let cut_from = Time.us 1_000 + 37 and cut_to = Time.us 1_300 + 37 in
+  let config =
+    match shards with
+    | None -> config
+    | Some _ ->
+      {
+        config with
+        static_faults =
+          { Cluster.no_faults with cut_windows = [| (cut_from, cut_to, [ 0 ]) |] };
+      }
+  in
+  let cluster = Cluster.create config in
+  let engine = Cluster.engine cluster in
+  if shards = None then begin
+    let fabric = Cluster.fabric cluster in
+    ignore (Engine.schedule_at engine ~at:cut_from (fun () -> Fabric.partition fabric [ 0 ]));
+    ignore (Engine.schedule_at engine ~at:cut_to (fun () -> Fabric.heal fabric [ 0 ]))
+  end;
+  let log = ref [] in
+  let program = Switch_program.program (Cluster.program cluster) in
+  Draconis_p4.Pipeline.set_program (Cluster.pipeline cluster) (fun ctx pkt ->
+      (match pkt with
+      | Switch_packet.Wire (Message.Task_request { info; _ }) ->
+        log := (Engine.now engine, info.exec_node, info.exec_port) :: !log
+      | _ -> ());
+      program ctx pkt);
+  Cluster.start cluster;
+  Cluster.run cluster ~until:(Time.ms 3);
+  List.sort compare !log
+
+let test_watchdog_legacy_matches_sharded () =
+  let legacy = cluster_request_log ~shards:None in
+  let sharded = cluster_request_log ~shards:(Some 2) in
+  (* Worker 0 is silent for the cut plus one watchdog window. *)
+  let node0 = List.filter (fun (_, node, _) -> node = 0) legacy in
+  let gap =
+    List.fold_left
+      (fun (prev, widest) (at, _, _) -> (at, max widest (at - prev)))
+      (0, 0)
+      (List.sort compare node0)
+    |> snd
+  in
+  Alcotest.(check bool) "the watchdog, not the cut's end, revived worker 0" true
+    (gap >= watchdog);
+  Alcotest.(check int) "same number of requests" (List.length legacy) (List.length sharded);
+  Alcotest.(check bool) "identical request logs" true (legacy = sharded)
+
 let test_executor_stop () =
   let engine, fabric, _ = make_env () in
   let requests = ref 0 in
@@ -259,6 +392,14 @@ let suite =
     Alcotest.test_case "executor no-op backoff" `Quick test_executor_noop_backoff;
     Alcotest.test_case "executor watchdog" `Quick test_executor_watchdog_resends;
     Alcotest.test_case "executor stop" `Quick test_executor_stop;
+    Alcotest.test_case "watchdog re-sends a lost request once" `Quick
+      test_watchdog_resends_lost_request_once;
+    Alcotest.test_case "watchdog check after a reply is a no-op" `Quick
+      test_watchdog_reply_first_is_noop;
+    Alcotest.test_case "watchdog with many pending checks" `Quick
+      test_watchdog_many_outstanding_checks;
+    Alcotest.test_case "watchdog legacy and sharded logs agree" `Quick
+      test_watchdog_legacy_matches_sharded;
     Alcotest.test_case "worker routes by port" `Quick test_worker_routes_by_port;
     Alcotest.test_case "metrics correlation" `Quick test_metrics_correlation;
     Alcotest.test_case "metrics per-level queueing" `Quick test_metrics_queueing_by_level;

@@ -3,6 +3,7 @@ let () =
     [
       ("heap", Test_heap.suite);
       ("calendar", Test_calendar.suite);
+      ("delay-line", Test_delay_line.suite);
       ("sim", Test_sim.suite);
       ("trace", Test_trace.suite);
       ("stats", Test_stats.suite);
@@ -19,6 +20,7 @@ let () =
       ("pifo", Test_pifo.suite);
       ("client-executor", Test_client_executor.suite);
       ("cluster", Test_cluster.suite);
+      ("poll-budget", Test_poll_budget.suite);
       ("baselines", Test_baselines.suite);
       ("fault-tolerance", Test_fault_tolerance.suite);
       ("fault", Test_fault.suite);

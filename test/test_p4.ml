@@ -59,6 +59,46 @@ let test_register_metadata () =
   ignore (Register.read reg (Packet_ctx.create ()) 0);
   Alcotest.(check int) "access counter" 1 (Register.access_count reg)
 
+let test_reset_starts_a_new_traversal () =
+  let reg = Register.create ~name:"r" ~size:2 () in
+  let ctx = Packet_ctx.create () in
+  ignore (Register.read reg ctx 0);
+  (match Register.write reg ctx 1 7 with
+  | exception Packet_ctx.Access_violation "r" -> ()
+  | () -> Alcotest.fail "second access before reset must raise");
+  Packet_ctx.reset ctx;
+  Alcotest.(check int) "reset forgets every access" 0 (Packet_ctx.access_count ctx);
+  Register.write reg ctx 1 7;
+  Alcotest.(check int) "the same access is legal after reset" 7 (Register.peek reg 1)
+
+(* One op on a fresh context: it must count exactly one access on both
+   sides and leave the register closed for the rest of the traversal. *)
+let check_single_access name reg op =
+  let ctx = Packet_ctx.create () in
+  let before = Register.access_count reg in
+  let old = op ctx in
+  Alcotest.(check int) (name ^ ": one register access") (before + 1)
+    (Register.access_count reg);
+  Alcotest.(check int) (name ^ ": one context access") 1 (Packet_ctx.access_count ctx);
+  (match Register.read reg ctx 0 with
+  | exception Packet_ctx.Access_violation _ -> ()
+  | _ -> Alcotest.failf "%s: a second access must raise" name);
+  old
+
+let test_closure_free_primitives () =
+  let reg = Register.create ~name:"p" ~size:2 () in
+  Register.poke reg 1 5;
+  let old = check_single_access "read_and_set" reg (fun ctx -> Register.read_and_set reg ctx 1 9) in
+  Alcotest.(check int) "read_and_set returns the old value" 5 old;
+  Alcotest.(check int) "read_and_set stores" 9 (Register.peek reg 1);
+  Register.poke reg 0 2;
+  let advance ctx = Register.read_and_advance reg ctx 0 ~wrap:4 in
+  Alcotest.(check int) "read_and_advance returns the old value" 2
+    (check_single_access "read_and_advance" reg advance);
+  Alcotest.(check int) "advances" 3 (Register.peek reg 0);
+  ignore (check_single_access "read_and_advance at the wrap" reg advance);
+  Alcotest.(check int) "wraps to zero" 0 (Register.peek reg 0)
+
 let prop_one_access_per_packet =
   QCheck.Test.make ~name:"a packet can access n distinct registers but no repeats"
     ~count:50
@@ -161,6 +201,36 @@ let test_pipeline_fresh_ctx_per_traversal () =
   Engine.run engine;
   Alcotest.(check int) "register touched once per traversal" 4 (Register.peek reg 0)
 
+let test_pipeline_flush_drops_in_flight () =
+  (* A slow admission slot backs the ingress up well past the flush, so
+     packets admitted after it leave before the flushed ones would have:
+     the standby's stages must be fresh lines, not the dead switch's. *)
+  let config = { Pipeline.default_config with packet_slot = Time.ns 100 } in
+  let engine, _fabric, pipeline =
+    make_pipeline ~config (fun _ctx pkt ->
+        match pkt with
+        | Loop n when n > 0 -> [ Pipeline.Recirculate (Loop (n - 1)) ]
+        | Loop _ | Ping _ -> [ Pipeline.Drop ])
+  in
+  Pipeline.inject pipeline (Loop 1);
+  for i = 1 to 10 do
+    Pipeline.inject pipeline (Ping i)
+  done;
+  (* At 450 ns: Loop 1 has traversed and sits in the loop until 1000 ns;
+     the pings would exit between 500 and 1400 ns. *)
+  Engine.run ~until:(Time.ns 450) engine;
+  Alcotest.(check int) "one traversal before the flush" 1 (Pipeline.processed pipeline);
+  Pipeline.flush_in_flight pipeline;
+  for _ = 1 to 3 do
+    Pipeline.inject pipeline (Loop 1)
+  done;
+  Engine.run engine;
+  Alcotest.(check int) "flushed: ten pings and the looping packet" 11
+    (Pipeline.flushed pipeline);
+  Alcotest.(check int) "post-flush packets traverse twice each" 7
+    (Pipeline.processed pipeline);
+  Alcotest.(check int) "recirculated" 4 (Pipeline.recirculated pipeline)
+
 let test_pipeline_set_program () =
   let engine, fabric, pipeline = make_pipeline (fun _ _ -> [ Pipeline.Drop ]) in
   let got = ref 0 in
@@ -202,6 +272,10 @@ let suite =
     Alcotest.test_case "rmw and write" `Quick test_rmw_and_write;
     Alcotest.test_case "register bounds" `Quick test_register_bounds;
     Alcotest.test_case "register metadata" `Quick test_register_metadata;
+    Alcotest.test_case "reset starts a new traversal" `Quick
+      test_reset_starts_a_new_traversal;
+    Alcotest.test_case "closure-free primitives: one access" `Quick
+      test_closure_free_primitives;
     QCheck_alcotest.to_alcotest prop_one_access_per_packet;
     Alcotest.test_case "pipeline emit" `Quick test_pipeline_emit;
     Alcotest.test_case "pipeline recirculation" `Quick test_pipeline_recirculation;
@@ -210,6 +284,8 @@ let suite =
     Alcotest.test_case "pipeline fresh ctx per traversal" `Quick
       test_pipeline_fresh_ctx_per_traversal;
     Alcotest.test_case "pipeline program swap" `Quick test_pipeline_set_program;
+    Alcotest.test_case "pipeline flush drops in-flight packets" `Quick
+      test_pipeline_flush_drops_in_flight;
     Alcotest.test_case "resource estimates match paper" `Quick test_resources_paper_numbers;
     Alcotest.test_case "resource capacity monotone" `Quick test_resources_monotone;
     Alcotest.test_case "resource validation" `Quick test_resources_validation;

@@ -53,6 +53,47 @@ let test_rng_float_range () =
     if f < 0.0 || f >= 1.0 then Alcotest.fail "float out of [0,1)"
   done
 
+(* Each draw kind, rendered the way [Rng_golden] records it. *)
+let golden_draw = function
+  | "bits64" -> fun g -> Printf.sprintf "%Lx" (Rng.bits64 g)
+  | "int" -> fun g -> string_of_int (Rng.int g 1_000_000)
+  | "float" -> fun g -> Printf.sprintf "%h" (Rng.float g)
+  | "bool" -> fun g -> if Rng.bool g then "1" else "0"
+  | "split" -> fun g -> Printf.sprintf "%Lx" (Rng.bits64 (Rng.split g))
+  | kind -> Alcotest.failf "unknown golden draw %S" kind
+
+let test_rng_golden_stream () =
+  List.iter
+    (fun (kind, seed, expected) ->
+      let expected =
+        String.split_on_char ' ' (String.concat " " (String.split_on_char '\n' expected))
+        |> List.filter (( <> ) "")
+      in
+      Alcotest.(check int) "64 outputs pinned" 64 (List.length expected);
+      let draw = golden_draw kind in
+      let g = Rng.create ~seed in
+      List.iteri
+        (fun i want ->
+          Alcotest.(check string) (Printf.sprintf "%s seed=%d #%d" kind seed i) want (draw g))
+        expected)
+    Rng_golden.streams
+
+let test_rng_draws_allocate_nothing () =
+  let g = Rng.create ~seed:5 in
+  let ints = ref 0 and floats = ref 0.0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    ints := !ints + Rng.int g 1_000;
+    floats := !floats +. Rng.float g
+  done;
+  let after = Gc.minor_words () in
+  Alcotest.(check (float 0.0)) "minor words over 10k int and float draws" 0.0
+    (after -. before);
+  (* Keep the draws live: the sums of 10k uniform draws sit near half
+     their range. *)
+  Alcotest.(check bool) "int draws used" true (!ints > 4_000_000 && !ints < 6_000_000);
+  Alcotest.(check bool) "float draws used" true (!floats > 4_000.0 && !floats < 6_000.0)
+
 let prop_rng_int_covers =
   QCheck.Test.make ~name:"Rng.int eventually hits every residue" ~count:20
     QCheck.(int_range 2 8)
@@ -276,6 +317,8 @@ let suite =
     Alcotest.test_case "rng split independence" `Quick test_rng_split_independent;
     Alcotest.test_case "rng int bounds" `Quick test_rng_int_bounds;
     Alcotest.test_case "rng float range" `Quick test_rng_float_range;
+    Alcotest.test_case "rng golden stream" `Quick test_rng_golden_stream;
+    Alcotest.test_case "rng draws allocate nothing" `Quick test_rng_draws_allocate_nothing;
     QCheck_alcotest.to_alcotest prop_rng_int_covers;
     Alcotest.test_case "dist constant" `Quick test_dist_constant;
     Alcotest.test_case "dist uniform bounds" `Quick test_dist_uniform_bounds;

@@ -7,8 +7,11 @@
      main.exe --quick [...]   smaller grids and horizons
      main.exe --jobs N [...]  worker domains for the experiment grids
                               (default: DRACONIS_JOBS or cores-1)
-     main.exe --shards N      worker domains *inside* sharded runs
-                              (default: DRACONIS_SHARDS or 1)
+     main.exe --shards N      run fig5a, fig6 and cluster-shard on the
+                              sharded cluster with N logical processes
+                              (their lanes come from --jobs), and add N
+                              to engine-bench's worker sweep (default:
+                              DRACONIS_SHARDS, else the single-engine path)
      main.exe --seed N        workload seed override (default 1000003);
                               the effective seed lands in the --json header
      main.exe --policy P      restrict the pifo experiment to one
@@ -195,7 +198,6 @@ let experiments : (string * string * (?quick:bool -> unit -> unit)) list =
     ("others", "sec 8 'other schedulers' (Spark native, Firmament)", H.Others.run);
     ("ablations", "design-choice ablations", H.Ablations.run);
     ("engine-bench", "event core: heap vs wheel calendar, alloc/event", H.Engine_bench.run);
-    ("shard-sim", "parallel-in-run shard scaling on the sharded cluster model", H.Shard_bench.run);
     ("cluster-shard", "real data path sharded over work-stealing window executors",
      H.Cluster_shard_bench.run);
     ("micro", "bechamel micro-benchmarks", run_micro);
@@ -288,7 +290,7 @@ let () =
   | None -> ()
   | Some v -> (
     match int_of_string_opt v with
-    | Some n when n >= 1 -> H.Shard.set_shards n
+    | Some n when n >= 1 -> H.Shard.set_shards (Some n)
     | Some _ | None ->
       Printf.eprintf "--shards wants a positive integer, got %S\n" v;
       exit 1));
@@ -338,10 +340,11 @@ let () =
               exit 1)
           names
     in
+    (* Unset reads as 1 in the banner and the --json header. *)
+    let shards = Option.value (H.Shard.shards ()) ~default:1 in
     H.Report.reset ();
     (* stderr so stdout stays byte-identical across --jobs settings. *)
-    Printf.eprintf "(running with --jobs %d --shards %d)\n%!" (H.Pool.jobs ())
-      (H.Shard.shards ());
+    Printf.eprintf "(running with --jobs %d --shards %d)\n%!" (H.Pool.jobs ()) shards;
     List.iter
       (fun (name, descr, run) ->
         Printf.printf "\n#### %s: %s%s\n%!" name descr (if quick then " [quick]" else "");
@@ -355,8 +358,7 @@ let () =
     | None -> ()
     | Some path ->
       (try
-         H.Report.write ~path ~jobs:(H.Pool.jobs ()) ~shards:(H.Shard.shards ())
-           ~quick
+         H.Report.write ~path ~jobs:(H.Pool.jobs ()) ~shards ~quick
        with
       | Sys_error msg ->
         Printf.eprintf "cannot write --json report: %s\n" msg;

@@ -52,6 +52,7 @@ type t = {
   config : config;
   engine : Engine.t;  (* the switch LP's engine in sharded mode *)
   fabric : Draconis_proto.Message.t Fabric.t;
+  fabrics : Draconis_proto.Message.t Fabric.t array;  (* one per LP *)
   pipeline : (Draconis_proto.Message.t, Switch_packet.t) Pipeline.t;
   mutable program : Switch_program.t;
   topology : Topology.t;
@@ -129,8 +130,8 @@ let create_legacy (config : config) =
     Array.init config.clients (fun i -> make_client config ~fabric ~metrics i)
   in
   let t =
-    { config; engine; fabric; pipeline; program; topology; metrics; workers; clients;
-      sync = None }
+    { config; engine; fabric; fabrics = [| fabric |]; pipeline; program; topology;
+      metrics; workers; clients; sync = None }
   in
   Array.iter
     (fun worker ->
@@ -249,8 +250,9 @@ let create_sharded (config : config) shards =
           i)
   in
   let t =
-    { config; engine = Fabric.engine switch_fabric; fabric = switch_fabric; pipeline;
-      program; topology; metrics; workers; clients; sync = Some sync }
+    { config; engine = Fabric.engine switch_fabric; fabric = switch_fabric;
+      fabrics = instances; pipeline; program; topology; metrics; workers; clients;
+      sync = Some sync }
   in
   Array.iteri
     (fun node worker ->
@@ -320,6 +322,12 @@ let program t = t.program
 let topology t = t.topology
 let metrics t = t.metrics
 let sync t = t.sync
+
+(* A drop is counted on the sender's fabric instance. *)
+let dropped t =
+  Array.fold_left
+    (fun acc f -> acc + Fabric.lost f + Fabric.partition_dropped f)
+    0 t.fabrics
 
 (* Events executed so far: summed over every LP engine when sharded. *)
 let events t =

@@ -99,6 +99,11 @@ val sync : t -> Sync.t option
 val events : t -> int
 
 val fabric : t -> Draconis_proto.Message.t Fabric.t
+
+(** Messages the fabric dropped to loss or a partition, summed over
+    every LP's fabric instance when sharded. *)
+val dropped : t -> int
+
 val pipeline : t -> (Draconis_proto.Message.t, Switch_packet.t) Pipeline.t
 val program : t -> Switch_program.t
 val topology : t -> Topology.t

@@ -20,7 +20,17 @@ type t = {
 let unsupported name op _ =
   invalid_arg (Printf.sprintf "Fault target %s: %s unsupported" name op)
 
+(* The injector mutates cluster and fabric state from the switch LP's
+   engine at the instant a plan event fires; on a sharded cluster other
+   LPs may already have simulated past that instant (and run on other
+   domains), so outcomes would depend on the shard count. *)
 let of_cluster ?(name = "draconis") cluster =
+  if Cluster.sync cluster <> None then
+    invalid_arg
+      (Printf.sprintf
+         "Fault target %s: the runtime injector cannot drive a sharded cluster; \
+          express the faults as Cluster.static_faults windows"
+         name);
   let fabric = Cluster.fabric cluster in
   {
     name;

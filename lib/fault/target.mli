@@ -28,7 +28,9 @@ type t = {
   supports_straggler : bool;
 }
 
-(** Full capability set. *)
+(** Full capability set, for a single-engine cluster ([shards = None]).
+    @raise Invalid_argument on a sharded cluster, which takes faults
+    only as {!Draconis.Cluster.static_faults}. *)
 val of_cluster : ?name:string -> Draconis.Cluster.t -> t
 
 (** Full capability set ([failover] clears the server's in-memory

@@ -5,11 +5,8 @@ open Draconis_workload
    1, 2 and 4 logical processes (plus whatever --shards/DRACONIS_SHARDS
    asks for), assert the tentpole contract (outcomes bit-identical for
    every shard count), and report one row per count so BENCH_engine.json
-   tracks events/sec scaling of the parallel data path.
-
-   Unlike shard-sim, which scales an abstract cluster *model*, these
-   rows measure the production code path: Sync barrier windows fanned
-   over a Pool.Team of work-stealing deques. *)
+   tracks events/sec scaling of the parallel data path: Sync barrier
+   windows fanned over a Pool.Team of work-stealing deques. *)
 
 let kind = Synthetic.Fixed_500us
 
@@ -31,7 +28,7 @@ let run ?(quick = false) () =
   let driver = Exp_common.synthetic_driver kind ~rate_tps ~horizon in
   let shard_counts =
     List.sort_uniq compare
-      (match Shard.requested () with Some n -> [ 1; 2; 4; n ] | None -> [ 1; 2; 4 ])
+      (match Shard.shards () with Some n -> [ 1; 2; 4; n ] | None -> [ 1; 2; 4 ])
   in
   let results =
     List.map

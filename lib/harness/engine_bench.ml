@@ -214,7 +214,7 @@ let shard_outcome (m : shard_measurement) : Runner.outcome =
 
 let run_sharded ~quick ~seed =
   let total = if quick then 100_000 else 1_000_000 in
-  let worker_counts = List.sort_uniq compare [ 1; 2; Shard.shards () ] in
+  let worker_counts = List.sort_uniq compare (1 :: 2 :: Option.to_list (Shard.shards ())) in
   let runs = List.map (fun w -> shard_storm ~workers:w ~total ~seed) worker_counts in
   let reference = List.hd runs in
   List.iter

@@ -21,7 +21,7 @@ let run ?(quick = false) () =
       let systems =
         [
           (* Sharding is outcome-neutral; see fig5a. *)
-          (fun () -> Systems.draconis ?shards:(Shard.requested ()) spec);
+          (fun () -> Systems.draconis ?shards:(Shard.shards ()) spec);
           (fun () -> Systems.racksched spec);
           (fun () -> Systems.r2p2 ~k:3 ~client_timeout:(Time.ms 2) spec);
           (fun () -> Systems.central_server CS.Dpdk spec);

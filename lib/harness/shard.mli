@@ -1,31 +1,15 @@
-(** Sharded (parallel-in-run) simulation: the [DRACONIS_SHARDS] knob,
-    the team-backed window executor, and a cluster-shaped reference
-    model used to pin the determinism contract down.
+(** Parallel-in-run sharding support: the [DRACONIS_SHARDS] knob and
+    the team-backed barrier-window executor.
 
-    Where {!Pool} parallelizes {e across} independent grid points, this
-    module parallelizes {e inside} one simulation: the model is
-    partitioned into logical processes ({!Draconis_sim.Lp}), each with
-    its own engine, and a conservative barrier-window coordinator
-    ({!Draconis_sim.Sync}) runs them in lockstep windows bounded by the
-    fabric's minimum link latency ({!Draconis_net.Fabric.lookahead}).
-
-    {2 Determinism contract}
-
-    A sharded run must produce {e exactly} the outcomes of the
-    sequential run.  The model upholds this by construction:
-    - every entity (switch, client, executor) draws from its own RNG
-      stream derived from [(seed, entity id)], so partitioning never
-      shifts draws;
-    - {e all} entity-to-entity messages — same-LP or cross-LP — travel
-      through {!Draconis_net.Fabric.Mailbox} with an [(at, src, seq)]
-      stamp, so same-time deliveries are ordered by stamp alone;
-    - fault plans compile to static time windows, so loss/partition/
-      straggler decisions depend only on simulated time and endpoint;
-    - the barrier-window sequence derives from the global event floor,
-      which no grouping of entities onto LPs can change.
-
-    The property suite asserts outcome equality across 1, 2 and 4
-    shards; [DRACONIS_SHARDS=1] is the bit-deterministic reference. *)
+    Where {!Pool} parallelizes {e across} independent grid points,
+    sharding parallelizes {e inside} one simulation: the real
+    {!Draconis.Cluster} partitions its data path into logical processes
+    ({!Draconis_sim.Lp}), each with its own engine, and a conservative
+    barrier-window coordinator ({!Draconis_sim.Sync}) runs them in
+    lockstep windows bounded by the fabric's minimum link latency
+    ({!Draconis_net.Fabric.lookahead}).  Outcomes are bit-identical
+    across shard counts; the cluster at [shards = Some 1] is the
+    sequential reference. *)
 
 open Draconis_sim
 
@@ -35,89 +19,24 @@ val env_var : string
 (** Upper bound on shard/worker counts (= {!Pool.max_jobs}). *)
 val max_shards : int
 
-(** The [DRACONIS_SHARDS] setting alone, ignoring any [set_shards]
-    override ([None] when unset or empty).
-    @raise Invalid_argument on a non-integer or out-of-range setting —
-    a bad knob is a configuration error, never a preference. *)
-val env_shards : unit -> int option
+(** The shard count that was asked for: the [set_shards] override if
+    any, else [DRACONIS_SHARDS] if set and non-empty, else [None].
+    Sharding is opt-in: callers stay on the single-engine path on
+    [None].
+    @raise Invalid_argument on a non-integer or out-of-range
+    [DRACONIS_SHARDS] — a bad knob is a configuration error, never a
+    preference. *)
+val shards : unit -> int option
 
-(** Process-wide shard count: the [set_shards] override if any, else
-    [DRACONIS_SHARDS] if set and within [\[1, max_shards\]], else [1].
-    @raise Invalid_argument on a non-integer or out-of-range setting. *)
-val shards : unit -> int
+(** Override the process-wide shard count; [None] drops the override so
+    [DRACONIS_SHARDS] decides again.
+    @raise Invalid_argument if the count is outside [\[1, max_shards\]]. *)
+val set_shards : int option -> unit
 
-(** Override the process-wide shard count.
-    @raise Invalid_argument if [n < 1] or [n > max_shards]. *)
-val set_shards : int -> unit
-
-(** The shard count that was actually asked for — the [set_shards]
-    override if any, else [DRACONIS_SHARDS] if set — or [None] when
-    neither knob was touched.  Call sites that treat sharding as opt-in
-    (the real-cluster figure harnesses) use this to stay on the legacy
-    single-engine path by default, where {!shards}'s fallback of [1]
-    cannot distinguish "unset" from "explicitly 1". *)
-val requested : unit -> int option
-
-(** [run_windows ?until ?workers sync] drives {!Draconis_sim.Sync.run}.
-    [workers] defaults to {!shards}; with one worker (or one LP) the
-    windows execute inline — the sequential reference path — otherwise a
-    persistent {!Pool.Team} of [min workers lps] lanes fans the per-LP
-    thunks out and is shut down when the run finishes (or raises).
+(** [run_windows ?until ~workers sync] drives {!Draconis_sim.Sync.run}.
+    With one worker (or one LP) the windows execute inline — the
+    sequential reference path — otherwise a persistent {!Pool.Team} of
+    [min workers lps] lanes fans the per-LP thunks out and is shut down
+    when the run finishes (or raises).
     @raise Invalid_argument if [workers] is outside [\[1, max_shards\]]. *)
-val run_windows : ?until:Time.t -> ?workers:int -> Sync.t -> unit
-
-(** {2 Sharded cluster model}
-
-    A deliberately small open system in the shape of the paper's fig. 5a
-    / fig. 6 experiments: open-loop clients submit tasks to a central
-    switch scheduler (FIFO queue, smallest-id idle executor dispatch);
-    executors run each task for its service time and send the completion
-    back, pulling the next dispatch.  Metrics mirror {!Runner.outcome}:
-    scheduling delay is queue-entry to dispatch at the switch. *)
-
-type config = {
-  clients : int;
-  executors : int;
-  interarrival : Dist.t;  (** per-client, open loop *)
-  service : Dist.t;
-  horizon : Time.t;  (** submissions stop after this instant *)
-  seed : int;
-  fabric : Draconis_net.Fabric.config;
-      (** only the latency model is used: [host_to_switch] (which is
-          also the sync lookahead) and [jitter]; loss comes from
-          [faults] so that it composes with the window protocol *)
-  faults : Draconis_fault.Plan.t;
-      (** [Loss_burst] (sender-drawn i.i.d. drops inside the window),
-          [Partition] (hosts: clients first, then executors) and
-          [Straggler] (node = executor index) are supported;
-          [Switch_failover] and [Crash] raise [Invalid_argument] *)
-}
-
-(** 4 clients, 10 executors (~80% utilization, so the delay percentiles
-    are non-trivial), exp(25us) interarrivals, exp(50us) service, 5 ms
-    horizon, default fabric, no faults. *)
-val default_config : config
-
-type result = {
-  outcome : Runner.outcome;
-      (** a pure function of [(config, lps)] — [events_per_sec] is left
-          0 so results compare structurally; the bench wrapper attaches
-          the wall-clock rate *)
-  windows : int;  (** barrier windows executed (partition-independent) *)
-  cross_posts : int;  (** messages routed through LP mailboxes *)
-  dropped : int;  (** messages eaten by fault windows *)
-  wall_s : float;
-  lps : int;
-  workers : int;
-}
-
-(** [run_model ?lps ?workers config] builds the model on [lps] logical
-    processes (default {!shards}; LP 0 holds the switch, hosts split
-    into rack-aligned groups via {!Draconis_net.Topology.partition}),
-    runs it to completion on [workers] domains (default [lps]) and
-    returns the frozen metrics.  Outcomes are equal for every valid
-    [lps]/[workers] combination on the same [config].
-    @raise Invalid_argument on an empty model, [lps]/[workers] out of
-    range, more than [clients + executors + 1] LPs, or an unsupported
-    fault in [config.faults]. *)
-val run_model : ?lps:int -> ?workers:int -> config -> result
+val run_windows : ?until:Time.t -> workers:int -> Sync.t -> unit

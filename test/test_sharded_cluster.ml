@@ -1,7 +1,9 @@
 (* The sharded Draconis cluster: outcome equality across shard counts
-   (the tentpole guarantee — partitioning the data path over logical
-   processes must not change a single metric), work-stealing executor
-   neutrality, static fault windows, and the fail-loud guards. *)
+   (the determinism contract — partitioning the data path over logical
+   processes must not change a single metric, barrier window or
+   message), work-stealing executor neutrality, static fault windows,
+   and the fail-loud guards.  [shards = Some 1] is the sequential
+   reference every other shard count must reproduce. *)
 
 open Draconis_sim
 open Draconis_workload
@@ -12,44 +14,94 @@ let kind = Synthetic.Fixed_100us
 let horizon = Time.ms 10
 let rate_tps = 90_000.0
 
-let driver = H.Exp_common.synthetic_driver kind ~rate_tps ~horizon
+(* One run plus the barrier-protocol counters the contract also pins:
+   the window sequence derives from the global event floor and every
+   message travels through an LP mailbox, so neither may depend on how
+   entities are grouped onto LPs. *)
+type run = {
+  shards : int;
+  outcome : H.Runner.outcome;
+  windows : int;
+  posted : int;  (** messages routed through LP mailboxes *)
+  dropped : int;  (** messages eaten by fault windows *)
+  abandoned : int;
+}
 
-(* Everything in an outcome except wall-clock throughput, which is the
-   one field allowed to differ between runs. *)
-let digest (o : H.Runner.outcome) =
-  [
-    ("submitted", o.submitted);
-    ("started", o.started);
-    ("completed", o.completed);
-    ("timeouts", o.timeouts);
-    ("rejected", o.rejected);
-    ("p50", o.sched_p50);
-    ("p99", o.sched_p99);
-    ("mean_ns", int_of_float o.sched_mean);
-    ("swaps", o.swaps);
-    ("recirculations", o.recirculations);
-    ("repair_flags", o.repair_flags);
-    ("events", o.events);
-    ("drained", if o.drained then 1 else 0);
-  ]
+let run_cluster ?(kind = kind) ?(rate_tps = rate_tps) ?faults ?client_timeout
+    ?(seed = spec.seed) ?workload_seed shards =
+  let cluster, system =
+    H.Systems.draconis_cluster ~racks:2 ~shards ?faults ?client_timeout
+      { spec with seed }
+  in
+  let driver = H.Exp_common.synthetic_driver kind ~rate_tps ~horizon in
+  let outcome =
+    H.Runner.run system ~driver ~load_tps:rate_tps ~horizon ?workload_seed ()
+  in
+  let sync = Option.get (Draconis.Cluster.sync cluster) in
+  {
+    shards;
+    outcome;
+    windows = Sync.windows sync;
+    posted = Array.fold_left (fun acc lp -> acc + Lp.posted lp) 0 (Sync.lps sync);
+    dropped = Draconis.Cluster.dropped cluster;
+    abandoned = Draconis.Metrics.abandoned (Draconis.Cluster.metrics cluster);
+  }
 
-let run_sharded ?faults shards =
-  let system = H.Systems.draconis ~racks:2 ~shards ?faults spec in
-  H.Runner.run system ~driver ~load_tps:rate_tps ~horizon ()
-
-let check_digests name reference other =
-  Alcotest.(check (list (pair string int))) name (digest reference) (digest other)
+(* [events_per_sec], the one wall-clock field, is left 0 by the runner,
+   so whole outcomes compare structurally. *)
+let check_equal_across_lps run =
+  let results = List.map run [ 1; 2; 4 ] in
+  let reference = List.hd results in
+  List.iter
+    (fun r ->
+      if r.outcome <> reference.outcome then
+        Alcotest.failf "outcome with %d LPs diverges: %a vs %a" r.shards
+          H.Runner.pp_outcome r.outcome H.Runner.pp_outcome reference.outcome;
+      Alcotest.(check int) "windows" reference.windows r.windows;
+      Alcotest.(check int) "messages" reference.posted r.posted;
+      Alcotest.(check int) "fault drops" reference.dropped r.dropped)
+    results;
+  reference
 
 let test_outcome_equality () =
-  let reference = run_sharded 1 in
-  Alcotest.(check bool) "work happened" true (reference.completed > 100);
-  Alcotest.(check bool) "drained" true reference.drained;
-  List.iter
-    (fun shards ->
-      check_digests
-        (Printf.sprintf "shards=%d == shards=1" shards)
-        reference (run_sharded shards))
-    [ 2; 4 ]
+  let r = check_equal_across_lps (fun shards -> run_cluster shards) in
+  Alcotest.(check bool) "work happened" true (r.outcome.completed > 100);
+  Alcotest.(check bool) "drained" true r.outcome.drained;
+  Alcotest.(check bool) "messages crossed mailboxes" true (r.posted > 0)
+
+(* fig6 shape: half the tasks five times longer than the rest, at 80% of
+   capacity, so the tail queues. *)
+let bimodal_rate_tps =
+  0.8
+  *. H.Exp_common.capacity_tps Synthetic.Bimodal
+       ~executors:(spec.workers * spec.executors_per_worker)
+
+let test_bimodal_equality () =
+  let r =
+    check_equal_across_lps (fun shards ->
+        run_cluster ~kind:Synthetic.Bimodal ~rate_tps:bimodal_rate_tps shards)
+  in
+  Alcotest.(check bool) "tail produced queueing" true (r.outcome.sched_p99 > 0)
+
+(* The contract must hold for arbitrary cluster and workload seeds. *)
+let test_random_seeds_equality =
+  QCheck.Test.make ~count:8 ~name:"sharded = sequential on random seeds"
+    QCheck.(pair (int_bound 1_000_000) bool)
+    (fun (seed, bimodal) ->
+      let kind, rate_tps =
+        if bimodal then (Synthetic.Bimodal, bimodal_rate_tps) else (kind, rate_tps)
+      in
+      let run shards =
+        (run_cluster ~kind ~rate_tps ~seed ~workload_seed:seed shards).outcome
+      in
+      run 1 = run 3)
+
+(* The sequential path is the bit-deterministic reference: re-running the
+   exact same config reproduces the outcome exactly. *)
+let test_sequential_reproducible () =
+  let a = run_cluster ~seed:123 1 and b = run_cluster ~seed:123 1 in
+  Alcotest.(check bool) "bit-identical rerun" true (a.outcome = b.outcome);
+  Alcotest.(check int) "windows" a.windows b.windows
 
 let faults =
   {
@@ -58,20 +110,41 @@ let faults =
     slow_windows = [| (Time.ms 1, Time.ms 6, 2, 3.0) |];
   }
 
+(* Loss, partition and straggler windows produce the same (degraded)
+   outcome at every shard count. *)
 let test_fault_equality () =
-  let system shards =
-    H.Systems.draconis ~racks:2 ~shards ~faults ~client_timeout:(Time.ms 2) spec
+  let r =
+    check_equal_across_lps (fun shards ->
+        run_cluster ~faults ~client_timeout:(Time.ms 2) shards)
   in
-  let run shards = H.Runner.run (system shards) ~driver ~load_tps:rate_tps ~horizon () in
-  let reference = run 1 in
+  let o = r.outcome in
+  Alcotest.(check bool) "faults dropped messages" true (r.dropped > 0);
   Alcotest.(check bool) "faults bit (losses recovered)" true
-    (reference.timeouts > 0 && reference.completed > 100);
-  List.iter
-    (fun shards ->
-      check_digests
-        (Printf.sprintf "faulted shards=%d == shards=1" shards)
-        reference (run shards))
-    [ 2; 4 ]
+    (o.timeouts > 0 && o.completed > 100);
+  Alcotest.(check bool) "drained" true o.drained;
+  Alcotest.(check int) "completed + abandoned = submitted" o.submitted
+    (o.completed + r.abandoned)
+
+(* The runtime injector fires on the switch LP's engine and mutates
+   state other LPs own, so its effect would depend on the shard count;
+   a sharded cluster must refuse it up front, whatever the plan. *)
+let test_injector_rejected_when_sharded () =
+  let module F = Draconis_fault in
+  let cluster, system =
+    H.Systems.draconis_cluster ~racks:2 ~shards:2 ~client_timeout:(Time.ms 2) spec
+  in
+  Fun.protect
+    ~finally:(fun () -> system.control.H.Systems.close ())
+    (fun () ->
+      List.iter
+        (fun plan ->
+          match F.Injector.arm (F.Plan.of_string plan) (F.Target.of_cluster cluster) with
+          | _ -> Alcotest.failf "%s armed on a sharded cluster" plan
+          | exception Invalid_argument msg ->
+            Alcotest.(check bool) "names the static alternative" true
+              (Astring.String.is_infix ~affix:"static_faults" msg))
+        [ "crash@2ms:node=1,down=1ms"; "burst@2ms:dur=1ms,loss=0.5";
+          "partition@2ms:hosts=1,dur=1ms" ])
 
 let test_executor_neutrality () =
   (* The barrier-window executor is pure execution vehicle: fanning each
@@ -118,6 +191,7 @@ let test_executor_neutrality () =
       Draconis.Metrics.started m;
       Draconis.Metrics.completed m;
       Draconis.Cluster.events cluster;
+      Sync.windows (Option.get (Draconis.Cluster.sync cluster));
     ]
   in
   let inline_cluster = build () in
@@ -139,7 +213,7 @@ let test_shards_exceed_lp_groups () =
     (Invalid_argument
        "Cluster.create: 8 shards exceed the 7 LP groups this topology admits \
         (1 switch LP + 6 hosts: 4 workers + 2 clients); lower --shards")
-    (fun () -> ignore (run_sharded 8))
+    (fun () -> ignore (run_cluster 8))
 
 let test_static_faults_require_shards () =
   Alcotest.(check bool) "legacy cluster rejects static faults" true
@@ -163,8 +237,14 @@ let suite =
   [
     Alcotest.test_case "outcomes bit-identical across shards {1,2,4}" `Quick
       test_outcome_equality;
+    Alcotest.test_case "bimodal (fig6-shape) equality" `Quick test_bimodal_equality;
+    QCheck_alcotest.to_alcotest test_random_seeds_equality;
+    Alcotest.test_case "sequential path is reproducible" `Quick
+      test_sequential_reproducible;
     Alcotest.test_case "static faults bit-identical across shards" `Quick
       test_fault_equality;
+    Alcotest.test_case "runtime injector rejected when sharded" `Quick
+      test_injector_rejected_when_sharded;
     Alcotest.test_case "work-stealing executor is outcome-neutral" `Quick
       test_executor_neutrality;
     Alcotest.test_case "shards > LP groups fails loud" `Quick

@@ -198,7 +198,7 @@ let experiments : (string * string * (?quick:bool -> unit -> unit)) list =
     ("others", "sec 8 'other schedulers' (Spark native, Firmament)", H.Others.run);
     ("ablations", "design-choice ablations", H.Ablations.run);
     ("engine-bench", "event core: heap vs wheel calendar, alloc/event", H.Engine_bench.run);
-    ("cluster-shard", "real data path sharded over work-stealing window executors",
+    ("cluster-shard", "real data path sharded over a barrier-window team",
      H.Cluster_shard_bench.run);
     ("micro", "bechamel micro-benchmarks", run_micro);
   ]

@@ -6,7 +6,8 @@ open Draconis_workload
    asks for), assert the tentpole contract (outcomes bit-identical for
    every shard count), and report one row per count so BENCH_engine.json
    tracks events/sec scaling of the parallel data path: Sync barrier
-   windows fanned over a Pool.Team of work-stealing deques. *)
+   windows fanned over a Pool.Team whose lanes claim per-LP thunks from
+   one shared cursor per window. *)
 
 let kind = Synthetic.Fixed_500us
 
@@ -73,7 +74,7 @@ let run ?(quick = false) () =
         ])
     results;
   Draconis_stats.Table.print
-    ~title:"cluster-shard: real data path across shard counts (work-stealing windows)"
+    ~title:"cluster-shard: real data path across shard counts (window team)"
     table;
   Printf.printf
     "outcomes identical across %s shards (submitted=%d completed=%d events=%d)\n%!"

@@ -178,119 +178,57 @@ let map ?jobs fns =
    [results] — fine for a dozen long jobs, hopeless for a sharded
    simulation that needs its logical processes run in parallel at every
    barrier window (thousands of windows per run).  A [Team] keeps its
-   domains alive across batches: [run] publishes a batch under an epoch
-   counter, every lane seeds its own Chase-Lev deque with a strided
-   slice of the batch and pops it LIFO, foraging through randomized
-   steals from the other lanes once its own deque runs dry.  The
-   caller's own domain participates as lane 0, so a team of [size] uses
-   [size - 1] spawned domains. *)
+   domains alive across batches: [run] publishes a fresh batch record
+   under an epoch counter, and the caller and every helper claim thunk
+   indices from the record's shared cursor until it runs past the end.
+   A window batch is a flat array of independent per-LP thunks that
+   spawn no further work, so one cursor is all the balancing it needs.
+   The caller's own domain participates as lane 0, so a team of [size]
+   uses [size - 1] spawned domains, and a team of one runs every batch
+   inline on the caller, in index order. *)
 module Team = struct
-  type lane = {
-    deque : (unit -> unit) Ws_deque.t;
-    mutable rng : int;  (* xorshift state; lane-local, victim choice only *)
+  (* Fresh per batch: a helper that wakes late for batch k finds k's
+     cursor exhausted and can never claim a thunk of batch k + 1. *)
+  type batch = {
+    thunks : (unit -> unit) array;
+    next : int Atomic.t;  (* next unclaimed index *)
+    remaining : int Atomic.t;  (* thunks not yet finished *)
   }
 
   type t = {
     size : int;
-    lanes : lane array;
     mutex : Mutex.t;
     start : Condition.t;  (* a new batch was published, or shutdown *)
     finished : Condition.t;  (* the current batch fully completed *)
-    remaining : int Atomic.t;  (* thunks of the current batch not yet run *)
+    failure : (exn * Printexc.raw_backtrace) option Atomic.t;
     mutable epoch : int;
-    mutable batch : (unit -> unit) array;
-    mutable failure : (exn * Printexc.raw_backtrace) option;
+    mutable batch : batch;
     mutable stop : bool;
     mutable domains : unit Domain.t list;
   }
 
-  (* Victim choice only ever affects which idle lane runs which thunk,
-     never the outcome (window thunks are independent by the lookahead
-     contract), so a throwaway xorshift per lane is plenty. *)
-  let next_rand lane =
-    let x = lane.rng in
-    let x = x lxor (x lsl 13) in
-    let x = x lxor (x lsr 7) in
-    let x = x lxor (x lsl 17) in
-    let x = x land max_int in
-    lane.rng <- (if x = 0 then 0x9e3779b9 else x);
-    lane.rng
-
-  (* Thunks run outside the lock; the first exception is kept (by order
-     of discovery) and re-raised by [run] after the barrier, so a failed
-     window never leaves helpers mid-batch.  The last lane to finish a
-     thunk broadcasts the barrier — under the mutex, so the caller
+  (* Claim and run thunks until the cursor passes the end.  Thunks run
+     outside the lock; the first exception is kept (by order of
+     discovery) and re-raised by [run] after the barrier, so a failed
+     window never leaves helpers mid-batch.  The lane that finishes the
+     last thunk broadcasts the barrier — under the mutex, so the caller
      cannot miss the wakeup between its counter check and its wait. *)
-  let exec t thunk =
-    (try thunk ()
-     with exn ->
-       let bt = Printexc.get_raw_backtrace () in
-       Mutex.lock t.mutex;
-       if t.failure = None then t.failure <- Some (exn, bt);
-       Mutex.unlock t.mutex);
-    if Atomic.fetch_and_add t.remaining (-1) = 1 then begin
-      Mutex.lock t.mutex;
-      Condition.broadcast t.finished;
-      Mutex.unlock t.mutex
+  let rec work t b =
+    let i = Atomic.fetch_and_add b.next 1 in
+    if i < Array.length b.thunks then begin
+      (try b.thunks.(i) ()
+       with exn ->
+         let bt = Printexc.get_raw_backtrace () in
+         ignore (Atomic.compare_and_set t.failure None (Some (exn, bt))));
+      if Atomic.fetch_and_add b.remaining (-1) = 1 && t.size > 1 then begin
+        Mutex.lock t.mutex;
+        Condition.broadcast t.finished;
+        Mutex.unlock t.mutex
+      end;
+      work t b
     end
 
-  (* Each lane owns the strided slice [li, li + size, li + 2*size, ...]
-     of the batch and seeds it into its {e own} deque — pushes stay
-     owner-only even while late lanes from the previous window are still
-     foraging.  Seeding back-to-front makes the owner's LIFO pops visit
-     its slice in batch order. *)
-  let seed t li batch =
-    let lane = t.lanes.(li) in
-    let n = Array.length batch in
-    let last = li + (n - 1 - li) / t.size * t.size in
-    let i = ref last in
-    while !i >= li do
-      Ws_deque.push lane.deque batch.(!i);
-      i := !i - t.size
-    done
-
-  (* One randomized pass over the other lanes.  [`Busy] distinguishes a
-     lost CAS (victim still looked nonempty — scan again) from a clean
-     all-empty pass (stop foraging): a lane must never park while a
-     sibling's deque still holds work, but also must not spin once the
-     window is drained down to thunks already in flight. *)
-  let scan_once t li =
-    let n = t.size in
-    let r = next_rand t.lanes.(li) in
-    let rec go o busy =
-      if o >= n then if busy then `Busy else `Empty
-      else begin
-        let v = (r + o) mod n in
-        if v = li then go (o + 1) busy
-        else
-          match Ws_deque.steal t.lanes.(v).deque with
-          | Some thunk -> `Got thunk
-          | None -> go (o + 1) (busy || Ws_deque.size t.lanes.(v).deque > 0)
-      end
-    in
-    go 0 false
-
-  let work t li =
-    let lane = t.lanes.(li) in
-    let rec own () =
-      match Ws_deque.pop lane.deque with
-      | Some thunk ->
-        exec t thunk;
-        own ()
-      | None -> forage ()
-    and forage () =
-      match scan_once t li with
-      | `Got thunk ->
-        exec t thunk;
-        own ()
-      | `Busy ->
-        Domain.cpu_relax ();
-        forage ()
-      | `Empty -> ()
-    in
-    own ()
-
-  let helper t li () =
+  let helper t () =
     let rec wait_for_batch seen =
       Mutex.lock t.mutex;
       while t.epoch = seen && not t.stop do
@@ -301,8 +239,7 @@ module Team = struct
         let epoch = t.epoch in
         let batch = t.batch in
         Mutex.unlock t.mutex;
-        seed t li batch;
-        work t li;
+        work t batch;
         wait_for_batch epoch
       end
     in
@@ -317,61 +254,55 @@ module Team = struct
     let t =
       {
         size;
-        lanes =
-          Array.init size (fun i ->
-              { deque = Ws_deque.create (); rng = (i * 0x9e3779b9) lor 1 });
         mutex = Mutex.create ();
         start = Condition.create ();
         finished = Condition.create ();
-        remaining = Atomic.make 0;
+        failure = Atomic.make None;
         epoch = 0;
-        batch = [||];
-        failure = None;
+        batch = { thunks = [||]; next = Atomic.make 0; remaining = Atomic.make 0 };
         stop = false;
         domains = [];
       }
     in
-    t.domains <- List.init (size - 1) (fun i -> Domain.spawn (helper t (i + 1)));
+    t.domains <- List.init (size - 1) (fun _ -> Domain.spawn (helper t));
     t
 
   let size t = t.size
 
+  (* Helpers never write [stop], so the caller reads it without the
+     lock; a one-lane team takes no lock at all. *)
   let run t thunks =
-    if Array.length thunks > 0 then begin
-      Mutex.lock t.mutex;
-      if t.stop then begin
-        Mutex.unlock t.mutex;
-        invalid_arg "Pool.Team.run: team already shut down"
+    let n = Array.length thunks in
+    if n > 0 then begin
+      if t.stop then invalid_arg "Pool.Team.run: team already shut down";
+      Atomic.set t.failure None;
+      let b = { thunks; next = Atomic.make 0; remaining = Atomic.make n } in
+      if t.size > 1 then begin
+        Mutex.lock t.mutex;
+        t.batch <- b;
+        t.epoch <- t.epoch + 1;
+        Condition.broadcast t.start;
+        Mutex.unlock t.mutex
       end;
-      t.batch <- thunks;
-      t.failure <- None;
-      Atomic.set t.remaining (Array.length thunks);
-      t.epoch <- t.epoch + 1;
-      Condition.broadcast t.start;
-      Mutex.unlock t.mutex;
-      seed t 0 thunks;
-      work t 0;
-      Mutex.lock t.mutex;
-      while Atomic.get t.remaining > 0 do
-        Condition.wait t.finished t.mutex
-      done;
-      let failure = t.failure in
-      (* Leave nothing for a late-waking helper to find. *)
-      t.batch <- [||];
-      Mutex.unlock t.mutex;
-      match failure with
+      work t b;
+      if t.size > 1 then begin
+        Mutex.lock t.mutex;
+        while Atomic.get b.remaining > 0 do
+          Condition.wait t.finished t.mutex
+        done;
+        Mutex.unlock t.mutex
+      end;
+      match Atomic.get t.failure with
       | None -> ()
       | Some (exn, bt) -> Printexc.raise_with_backtrace exn bt
     end
 
+  (* A second call finds no domains left to join. *)
   let shutdown t =
     Mutex.lock t.mutex;
-    if not t.stop then begin
-      t.stop <- true;
-      Condition.broadcast t.start;
-      Mutex.unlock t.mutex;
-      List.iter Domain.join t.domains;
-      t.domains <- []
-    end
-    else Mutex.unlock t.mutex
+    t.stop <- true;
+    Condition.broadcast t.start;
+    Mutex.unlock t.mutex;
+    List.iter Domain.join t.domains;
+    t.domains <- []
 end

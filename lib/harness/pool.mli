@@ -68,7 +68,8 @@ val map : ?jobs:int -> (unit -> 'a) list -> 'a list
     window of a run fans the per-LP thunks out and joins them again
     (thousands of windows per experiment; spawn/join per window would
     dominate).  The calling domain participates as one of the lanes, so
-    a team of size [n] spawns [n - 1] helper domains. *)
+    a team of size [n] spawns [n - 1] helper domains, and a team of size
+    1 spawns none. *)
 module Team : sig
   type t
 
@@ -79,11 +80,12 @@ module Team : sig
   val size : t -> int
 
   (** [run t thunks] executes every thunk to completion and returns only
-      when all have finished.  Each lane (helpers plus the calling
-      domain) seeds a strided slice of the batch into its own
-      {!Ws_deque.t}, pops it LIFO, and steals from randomly chosen
-      victims once its own deque is empty — so an oversized thunk on one
-      lane never idles the others.  If any thunk raised, the first
+      when all have finished.  The calling domain and every helper claim
+      the next unrun thunk from one shared cursor per batch, so a lane
+      that finishes early takes the next thunk instead of idling, and
+      the caller never waits for a helper to wake before work starts.
+      A team of size 1 runs the batch inline on the caller, in index
+      order, with no lock or broadcast.  If any thunk raised, the first
       captured exception is re-raised after the batch barrier.
       @raise Invalid_argument if the team was shut down. *)
   val run : t -> (unit -> unit) array -> unit

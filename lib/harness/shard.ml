@@ -41,11 +41,7 @@ let run_windows ?until ~workers sync =
       (Printf.sprintf "Shard.run_windows: workers %d out of range [1, %d]" workers
          max_shards);
   (* More lanes than LPs would only park helpers at the batch barrier. *)
-  let lanes = min workers (Array.length (Sync.lps sync)) in
-  if lanes <= 1 then Sync.run ?until sync
-  else begin
-    let team = Pool.Team.create ~size:lanes in
-    Fun.protect
-      ~finally:(fun () -> Pool.Team.shutdown team)
-      (fun () -> Sync.run ?until ~executor:(Pool.Team.run team) sync)
-  end
+  let team = Pool.Team.create ~size:(min workers (Array.length (Sync.lps sync))) in
+  Fun.protect
+    ~finally:(fun () -> Pool.Team.shutdown team)
+    (fun () -> Sync.run ?until ~executor:(Pool.Team.run team) sync)

@@ -33,10 +33,9 @@ val shards : unit -> int option
     @raise Invalid_argument if the count is outside [\[1, max_shards\]]. *)
 val set_shards : int option -> unit
 
-(** [run_windows ?until ~workers sync] drives {!Draconis_sim.Sync.run}.
-    With one worker (or one LP) the windows execute inline — the
-    sequential reference path — otherwise a persistent {!Pool.Team} of
-    [min workers lps] lanes fans the per-LP thunks out and is shut down
-    when the run finishes (or raises).
+(** [run_windows ?until ~workers sync] drives {!Draconis_sim.Sync.run}
+    on a persistent {!Pool.Team} of [min workers lps] lanes, shut down
+    when the run finishes (or raises).  With one lane the windows run
+    inline in LP order — the sequential reference path.
     @raise Invalid_argument if [workers] is outside [\[1, max_shards\]]. *)
 val run_windows : ?until:Time.t -> workers:int -> Sync.t -> unit

@@ -21,7 +21,7 @@ type extras = {
 
 (* How the runner drives a system's virtual time.  Single-engine systems
    get [engine_control]; the sharded cluster supplies window-protocol
-   implementations (Sync.run under a work-stealing team, cross-LP
+   implementations (Sync.run under a window team, cross-LP
    flushing, staged submission). *)
 type control = {
   run_until : Time.t -> unit;
@@ -85,22 +85,24 @@ let round_robin_submit clients submit_one =
     submit_one clients.(i) tasks
 
 (* Window-protocol control for a sharded cluster: Sync.run fanned out
-   over a persistent work-stealing team (sized to the machine, capped at
-   the shard count — outcomes are worker-count independent, so the cap
-   is purely a resource decision). *)
+   over a persistent window team (sized to the machine, capped at the
+   shard count — outcomes are worker-count independent, so the cap is
+   purely a resource decision; a one-lane team runs windows inline). *)
 let sharded_control cluster sync =
-  let shard_count = Array.length (Sync.lps sync) in
-  let lanes = max 1 (min shard_count (Pool.jobs ())) in
-  let team = if lanes > 1 then Some (Pool.Team.create ~size:lanes) else None in
-  let executor = Option.map (fun team thunks -> Pool.Team.run team thunks) team in
+  let lanes = max 1 (min (Array.length (Sync.lps sync)) (Pool.jobs ())) in
+  let team = Pool.Team.create ~size:lanes in
   let now () =
     Array.fold_left
       (fun acc lp -> max acc (Engine.now (Lp.engine lp)))
       Time.zero (Sync.lps sync)
   in
-  let run_until until = Cluster.run ?executor cluster ~until in
-  let cursor = ref 0 in
-  let clients = Cluster.clients cluster in
+  let run_until until = Cluster.run ~executor:(Pool.Team.run team) cluster ~until in
+  let stage =
+    round_robin_submit (Cluster.clients cluster) (fun client (at, tasks) ->
+        ignore
+          (Engine.schedule_at (Client.engine client) ~at (fun () ->
+               ignore (Client.submit_job client tasks))))
+  in
   {
     run_until;
     now;
@@ -113,16 +115,8 @@ let sharded_control cluster sync =
            pure function of the model, so it cannot perturb cross-shard
            outcome equality. *)
         run_until (now () + (2 * Sync.lookahead sync)));
-    close = (fun () -> Option.iter Pool.Team.shutdown team);
-    stage =
-      Some
-        (fun ~at tasks ->
-          let i = !cursor in
-          cursor := (i + 1) mod Array.length clients;
-          let client = clients.(i) in
-          ignore
-            (Engine.schedule_at (Client.engine client) ~at (fun () ->
-                 ignore (Client.submit_job client tasks))));
+    close = (fun () -> Pool.Team.shutdown team);
+    stage = Some (fun ~at tasks -> stage (at, tasks));
   }
 
 let draconis_cluster ?(policy_of = fun _ -> Policy.Fcfs) ?(racks = 1)

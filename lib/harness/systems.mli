@@ -32,7 +32,7 @@ type extras = {
 (** How the runner drives a system's virtual time.  Single-engine
     systems wrap their engine with {!engine_control}; a sharded Draconis
     cluster supplies the barrier-window protocol instead —
-    {!Draconis.Cluster.run} under a {!Pool.Team} work-stealing executor,
+    {!Draconis.Cluster.run} under a {!Pool.Team} window executor,
     cross-LP effect flushing, and pre-staged submission. *)
 type control = {
   run_until : Time.t -> unit;  (** advance simulated time to the bound *)
@@ -82,7 +82,7 @@ type running = {
 
     [?shards] routes the cluster through [n] logical processes (see
     {!Draconis.Cluster.config}); the returned control then runs barrier
-    windows on a work-stealing team sized [min n (Pool.jobs ())] and
+    windows on a {!Pool.Team} sized [min n (Pool.jobs ())] and
     requires staged submission.  [?faults] supplies the static fault
     windows a sharded run can express.  Outcomes are bit-identical
     across shard counts. *)

@@ -157,6 +157,70 @@ let test_team_shutdown () =
   Alcotest.(check bool) "oversized team rejected" true (raises (fun () ->
       ignore (H.Pool.Team.create ~size:(H.Pool.max_jobs + 1))))
 
+(* Team batches must be execution-order independent: the set of effects
+   (here: each thunk records its index, whichever lane claimed it) is
+   the same for every team size, across repeated epochs on one team. *)
+let test_team_size_independence () =
+  let batch = 97 in
+  let run_with size =
+    let team = H.Pool.Team.create ~size in
+    Fun.protect
+      ~finally:(fun () -> H.Pool.Team.shutdown team)
+      (fun () ->
+        let out = ref [] in
+        for epoch = 0 to 2 do
+          let slots = Array.make batch (-1) in
+          H.Pool.Team.run team
+            (Array.init batch (fun i () -> slots.(i) <- (epoch * batch) + i));
+          out := Array.to_list slots :: !out
+        done;
+        List.rev !out)
+  in
+  let reference = run_with 1 in
+  List.iter
+    (fun size ->
+      Alcotest.(check (list (list int)))
+        (Printf.sprintf "team size %d matches size 1" size)
+        reference (run_with size))
+    [ 2; 3 ]
+
+(* Many tiny batches back to back, like barrier windows: a helper that
+   wakes late for one batch must find it exhausted rather than claim a
+   thunk of the next, and no index may be claimed twice. *)
+let test_team_no_double_run () =
+  let batches = 5_000 in
+  let counts = Array.init batches (fun b -> Array.make (1 + (b mod 3)) 0) in
+  let team = H.Pool.Team.create ~size:3 in
+  Fun.protect
+    ~finally:(fun () -> H.Pool.Team.shutdown team)
+    (fun () ->
+      Array.iteri
+        (fun b row ->
+          H.Pool.Team.run team
+            (Array.init (Array.length row) (fun i () ->
+                 counts.(b).(i) <- counts.(b).(i) + 1)))
+        counts);
+  Array.iteri
+    (fun b row ->
+      Array.iteri
+        (fun i n ->
+          if n <> 1 then Alcotest.failf "batch %d thunk %d ran %d times" b i n)
+        row)
+    counts
+
+let test_team_size1_inline () =
+  let team = H.Pool.Team.create ~size:1 in
+  Fun.protect
+    ~finally:(fun () -> H.Pool.Team.shutdown team)
+    (fun () ->
+      let self = Domain.self () in
+      let order = ref [] in
+      H.Pool.Team.run team
+        (Array.init 16 (fun i () ->
+             if Domain.self () <> self then Alcotest.failf "thunk %d left the caller" i;
+             order := i :: !order));
+      Alcotest.(check (list int)) "index order" (List.init 16 Fun.id) (List.rev !order))
+
 (* -- determinism: the tentpole guarantee ----------------------------------- *)
 
 let small_spec =
@@ -268,6 +332,11 @@ let suite =
     Alcotest.test_case "team propagates exceptions" `Quick
       test_team_exception_propagates;
     Alcotest.test_case "team shutdown" `Quick test_team_shutdown;
+    Alcotest.test_case "team is size-independent" `Quick test_team_size_independence;
+    Alcotest.test_case "no thunk runs twice or leaks into the next batch" `Quick
+      test_team_no_double_run;
+    Alcotest.test_case "size-1 team runs the batch inline, in order" `Quick
+      test_team_size1_inline;
     Alcotest.test_case "determinism: jobs=1 vs jobs=4" `Slow test_jobs1_jobs4_identical;
     Alcotest.test_case "determinism: repeated parallel runs" `Slow
       test_repeated_parallel_runs_identical;

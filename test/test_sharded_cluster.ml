@@ -1,7 +1,7 @@
 (* The sharded Draconis cluster: outcome equality across shard counts
    (the determinism contract — partitioning the data path over logical
    processes must not change a single metric, barrier window or
-   message), work-stealing executor neutrality, static fault windows,
+   message), window-team neutrality, static fault windows,
    and the fail-loud guards.  [shards = Some 1] is the sequential
    reference every other shard count must reproduce. *)
 
@@ -148,9 +148,9 @@ let test_injector_rejected_when_sharded () =
 
 let test_executor_neutrality () =
   (* The barrier-window executor is pure execution vehicle: fanning each
-     window over a 2-lane work-stealing team must reproduce the inline
-     run bit for bit.  Driven below Systems/Runner so the team size is
-     ours to pick (the harness sizes it to the machine). *)
+     window over a 2-lane team must reproduce the inline run bit for
+     bit.  Driven below Systems/Runner so the team size is ours to pick
+     (the harness sizes it to the machine). *)
   let build () =
     let cluster =
       Draconis.Cluster.create
@@ -245,7 +245,7 @@ let suite =
       test_fault_equality;
     Alcotest.test_case "runtime injector rejected when sharded" `Quick
       test_injector_rejected_when_sharded;
-    Alcotest.test_case "work-stealing executor is outcome-neutral" `Quick
+    Alcotest.test_case "window team is outcome-neutral" `Quick
       test_executor_neutrality;
     Alcotest.test_case "shards > LP groups fails loud" `Quick
       test_shards_exceed_lp_groups;

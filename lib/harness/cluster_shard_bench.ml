@@ -7,7 +7,9 @@ open Draconis_workload
    every shard count), and report one row per count so BENCH_engine.json
    tracks events/sec scaling of the parallel data path: Sync barrier
    windows fanned over a Pool.Team whose lanes claim per-LP thunks from
-   one shared cursor per window. *)
+   one shared cursor per window.  The table also shows the team's parks
+   per window (lanes that outwaited the spin budget); the JSON report
+   leaves it out, so BENCH_engine.json keeps its fields. *)
 
 let kind = Synthetic.Fixed_500us
 
@@ -38,12 +40,19 @@ let run ?(quick = false) () =
         let t0 = Unix.gettimeofday () in
         let outcome = Runner.run system ~driver ~load_tps:rate_tps ~horizon () in
         let wall_s = Unix.gettimeofday () -. t0 in
-        (shards, wall_s, outcome))
+        let parks_per_window =
+          match system.control.team with
+          | Some team ->
+            let c = Pool.Team.counters team in
+            if c.batches > 0 then float_of_int c.parks /. float_of_int c.batches else 0.0
+          | None -> 0.0
+        in
+        (shards, wall_s, parks_per_window, outcome))
       shard_counts
   in
-  let _, _, reference = List.hd results in
+  let _, _, _, reference = List.hd results in
   List.iter
-    (fun (shards, _, (o : Runner.outcome)) ->
+    (fun (shards, _, _, (o : Runner.outcome)) ->
       (* Bit-identical outcomes are the whole contract; a divergence is
          a bug in the stamped data path, never an acceptable variance. *)
       if digest o <> digest reference then
@@ -56,10 +65,10 @@ let run ?(quick = false) () =
     Draconis_stats.Table.create
       ~columns:
         [ "shards"; "lanes"; "submitted"; "completed"; "p99 (us)"; "events";
-          "wall s"; "events/sec" ]
+          "wall s"; "events/sec"; "parks/window" ]
   in
   List.iter
-    (fun (shards, wall_s, (o : Runner.outcome)) ->
+    (fun (shards, wall_s, parks_per_window, (o : Runner.outcome)) ->
       Draconis_stats.Table.add_row table
         [
           string_of_int shards;
@@ -71,6 +80,7 @@ let run ?(quick = false) () =
           Printf.sprintf "%.3f" wall_s;
           Printf.sprintf "%.0f"
             (if wall_s > 0.0 then float_of_int o.events /. wall_s else 0.0);
+          Printf.sprintf "%.4f" parks_per_window;
         ])
     results;
   Draconis_stats.Table.print
@@ -82,7 +92,7 @@ let run ?(quick = false) () =
     reference.submitted reference.completed reference.events;
   Report.add_outcomes
     (List.map
-       (fun (shards, wall_s, (o : Runner.outcome)) ->
+       (fun (shards, wall_s, _, (o : Runner.outcome)) ->
          {
            o with
            Runner.system = Printf.sprintf "cluster-shard-n%d" shards;

@@ -177,16 +177,30 @@ let map ?jobs fns =
 (* The experiment pool above spawns domains per sweep and joins them at
    [results] — fine for a dozen long jobs, hopeless for a sharded
    simulation that needs its logical processes run in parallel at every
-   barrier window (thousands of windows per run).  A [Team] keeps its
-   domains alive across batches: [run] publishes a fresh batch record
-   under an epoch counter, and the caller and every helper claim thunk
-   indices from the record's shared cursor until it runs past the end.
-   A window batch is a flat array of independent per-LP thunks that
-   spawn no further work, so one cursor is all the balancing it needs.
-   The caller's own domain participates as lane 0, so a team of [size]
-   uses [size - 1] spawned domains, and a team of one runs every batch
-   inline on the caller, in index order. *)
+   barrier window (over a hundred thousand windows per run, each only
+   microseconds long).  A [Team] keeps its domains alive across batches:
+   [run] publishes a fresh batch record and bumps an atomic epoch, and
+   the caller and every helper claim thunk indices from the record's
+   shared cursor until it runs past the end.  A window batch is a flat
+   array of independent per-LP thunks that spawn no further work, so
+   one cursor is all the balancing it needs.  The caller's own domain
+   participates as lane 0, so a team of [size] uses [size - 1] spawned
+   domains, and a team of one runs every batch inline on the caller, in
+   index order.
+
+   A window is shorter than a futex sleep/wake round trip, so a lane
+   that must wait — a helper for the next epoch, the caller for the
+   batch's last thunk — spins on the atomic it waits for and parks on
+   the mutex and a condition only once a bounded spin budget runs out. *)
 module Team = struct
+  (* About one barrier window of wall time on the sharded cluster
+     (~12 us of [Domain.cpu_relax] on a 2-vCPU AMD EPYC guest, against
+     ~8 us per window): a lane that sees no progress for that long is
+     waiting on something slower than a window — the runner between
+     [Sync.run] calls, a descheduled lane — and parks.  Spinning much
+     longer made whole runs sporadically 2-3x slower on that guest. *)
+  let spin_budget = 500
+
   (* Fresh per batch: a helper that wakes late for batch k finds k's
      cursor exhausted and can never claim a thunk of batch k + 1. *)
   type batch = {
@@ -195,24 +209,79 @@ module Team = struct
     remaining : int Atomic.t;  (* thunks not yet finished *)
   }
 
+  type counters = { batches : int; parks : int }
+
   type t = {
     size : int;
+    spin : int;  (* spin budget per wait; 0 when lanes outnumber cores *)
     mutex : Mutex.t;
-    start : Condition.t;  (* a new batch was published, or shutdown *)
-    finished : Condition.t;  (* the current batch fully completed *)
+    start : Condition.t;  (* [epoch] moved: a new batch, or shutdown *)
+    finished : Condition.t;  (* a batch's [remaining] reached zero *)
+    epoch : int Atomic.t;
+    sleepers : int Atomic.t;  (* helpers registered to wait on [start] *)
+    caller_parked : bool Atomic.t;  (* the caller waits on [finished] *)
+    stop : bool Atomic.t;
     failure : (exn * Printexc.raw_backtrace) option Atomic.t;
-    mutable epoch : int;
-    mutable batch : batch;
-    mutable stop : bool;
+    parks : int Atomic.t;
+    mutable batches : int;
+    mutable batch : batch;  (* written before the [epoch] bump that publishes it *)
     mutable domains : unit Domain.t list;
   }
+
+  (* Parking loses no wakeup because sleeper and waker order their
+     steps Dekker-style on sequentially consistent atomics.  A sleeper
+     takes the mutex, registers ([sleepers] or [caller_parked]), then
+     re-reads the word it waits on and calls [Condition.wait] only if it
+     is unchanged, never releasing the mutex in between.  A waker first
+     writes that word ([epoch] or [remaining]), then reads the
+     registration, and broadcasts under the mutex if it is set.  In the
+     single order of the atomics either the registration comes first:
+     the waker sees it, and its broadcast cannot fall between the
+     sleeper's re-check and its wait, because the sleeper holds the
+     mutex until [Condition.wait] releases it.  Or the write comes
+     first: the sleeper's re-check sees it and never waits.  A stale
+     registration costs at most a spurious broadcast, and every wait
+     re-checks in a loop. *)
+  let await_epoch t seen ~budget =
+    let n = ref budget in
+    while !n > 0 && Atomic.get t.epoch = seen do
+      Domain.cpu_relax ();
+      decr n
+    done;
+    if Atomic.get t.epoch = seen then begin
+      Atomic.incr t.parks;
+      Mutex.lock t.mutex;
+      Atomic.incr t.sleepers;
+      while Atomic.get t.epoch = seen do
+        Condition.wait t.start t.mutex
+      done;
+      Atomic.decr t.sleepers;
+      Mutex.unlock t.mutex
+    end;
+    Atomic.get t.epoch
+
+  let await_batch t b =
+    let n = ref t.spin in
+    while !n > 0 && Atomic.get b.remaining > 0 do
+      Domain.cpu_relax ();
+      decr n
+    done;
+    if Atomic.get b.remaining > 0 then begin
+      Atomic.incr t.parks;
+      Mutex.lock t.mutex;
+      Atomic.set t.caller_parked true;
+      while Atomic.get b.remaining > 0 do
+        Condition.wait t.finished t.mutex
+      done;
+      Atomic.set t.caller_parked false;
+      Mutex.unlock t.mutex
+    end
 
   (* Claim and run thunks until the cursor passes the end.  Thunks run
      outside the lock; the first exception is kept (by order of
      discovery) and re-raised by [run] after the barrier, so a failed
      window never leaves helpers mid-batch.  The lane that finishes the
-     last thunk broadcasts the barrier — under the mutex, so the caller
-     cannot miss the wakeup between its counter check and its wait. *)
+     last thunk wakes the caller if it parked. *)
   let rec work t b =
     let i = Atomic.fetch_and_add b.next 1 in
     if i < Array.length b.thunks then begin
@@ -220,7 +289,7 @@ module Team = struct
        with exn ->
          let bt = Printexc.get_raw_backtrace () in
          ignore (Atomic.compare_and_set t.failure None (Some (exn, bt))));
-      if Atomic.fetch_and_add b.remaining (-1) = 1 && t.size > 1 then begin
+      if Atomic.fetch_and_add b.remaining (-1) = 1 && Atomic.get t.caller_parked then begin
         Mutex.lock t.mutex;
         Condition.broadcast t.finished;
         Mutex.unlock t.mutex
@@ -228,22 +297,21 @@ module Team = struct
       work t b
     end
 
+  (* A fresh helper parks at once: the first batch may be a whole setup
+     away, and spinning through it only slows the domain that builds
+     it.  [run] and [shutdown] write [batch] or [stop] before they bump
+     the epoch, and the helper reads them after the epoch that ended its
+     wait, so it sees at least that epoch's batch and stop flag; anything
+     published later ends its next wait. *)
   let helper t () =
-    let rec wait_for_batch seen =
-      Mutex.lock t.mutex;
-      while t.epoch = seen && not t.stop do
-        Condition.wait t.start t.mutex
-      done;
-      if t.stop then Mutex.unlock t.mutex
-      else begin
-        let epoch = t.epoch in
-        let batch = t.batch in
-        Mutex.unlock t.mutex;
-        work t batch;
-        wait_for_batch epoch
+    let rec loop seen ~budget =
+      let seen = await_epoch t seen ~budget in
+      if not (Atomic.get t.stop) then begin
+        work t t.batch;
+        loop seen ~budget:t.spin
       end
     in
-    wait_for_batch 0
+    loop 0 ~budget:0
 
   let create ~size =
     if size < 1 then invalid_arg "Pool.Team.create: size must be >= 1";
@@ -254,13 +322,20 @@ module Team = struct
     let t =
       {
         size;
+        (* More lanes than cores: a spinning lane would burn the core the
+           lane it waits for needs. *)
+        spin = (if size > Domain.recommended_domain_count () then 0 else spin_budget);
         mutex = Mutex.create ();
         start = Condition.create ();
         finished = Condition.create ();
+        epoch = Atomic.make 0;
+        sleepers = Atomic.make 0;
+        caller_parked = Atomic.make false;
+        stop = Atomic.make false;
         failure = Atomic.make None;
-        epoch = 0;
+        parks = Atomic.make 0;
+        batches = 0;
         batch = { thunks = [||]; next = Atomic.make 0; remaining = Atomic.make 0 };
-        stop = false;
         domains = [];
       }
     in
@@ -268,30 +343,24 @@ module Team = struct
     t
 
   let size t = t.size
+  let counters t = { batches = t.batches; parks = Atomic.get t.parks }
 
-  (* Helpers never write [stop], so the caller reads it without the
-     lock; a one-lane team takes no lock at all. *)
   let run t thunks =
     let n = Array.length thunks in
     if n > 0 then begin
-      if t.stop then invalid_arg "Pool.Team.run: team already shut down";
+      if Atomic.get t.stop then invalid_arg "Pool.Team.run: team already shut down";
       Atomic.set t.failure None;
+      t.batches <- t.batches + 1;
       let b = { thunks; next = Atomic.make 0; remaining = Atomic.make n } in
-      if t.size > 1 then begin
+      t.batch <- b;
+      Atomic.incr t.epoch;
+      if Atomic.get t.sleepers > 0 then begin
         Mutex.lock t.mutex;
-        t.batch <- b;
-        t.epoch <- t.epoch + 1;
         Condition.broadcast t.start;
         Mutex.unlock t.mutex
       end;
       work t b;
-      if t.size > 1 then begin
-        Mutex.lock t.mutex;
-        while Atomic.get b.remaining > 0 do
-          Condition.wait t.finished t.mutex
-        done;
-        Mutex.unlock t.mutex
-      end;
+      await_batch t b;
       match Atomic.get t.failure with
       | None -> ()
       | Some (exn, bt) -> Printexc.raise_with_backtrace exn bt
@@ -299,8 +368,9 @@ module Team = struct
 
   (* A second call finds no domains left to join. *)
   let shutdown t =
+    Atomic.set t.stop true;
+    Atomic.incr t.epoch;
     Mutex.lock t.mutex;
-    t.stop <- true;
     Condition.broadcast t.start;
     Mutex.unlock t.mutex;
     List.iter Domain.join t.domains;

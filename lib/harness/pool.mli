@@ -66,10 +66,11 @@ val map : ?jobs:int -> (unit -> 'a) list -> 'a list
     keeps its domains alive across an arbitrary number of [run] calls —
     the execution vehicle for sharded simulation, where every barrier
     window of a run fans the per-LP thunks out and joins them again
-    (thousands of windows per experiment; spawn/join per window would
-    dominate).  The calling domain participates as one of the lanes, so
-    a team of size [n] spawns [n - 1] helper domains, and a team of size
-    1 spawns none. *)
+    (over a hundred thousand windows per experiment, each microseconds
+    long; spawn/join, or even a sleep/wake per window, would dominate).
+    The calling domain participates as one of the lanes, so a team of
+    size [n] spawns [n - 1] helper domains, and a team of size 1 spawns
+    none. *)
 module Team : sig
   type t
 
@@ -84,11 +85,21 @@ module Team : sig
       the next unrun thunk from one shared cursor per batch, so a lane
       that finishes early takes the next thunk instead of idling, and
       the caller never waits for a helper to wake before work starts.
+      Between batches a helper, and at the barrier the caller, spins for
+      a bounded budget before parking on a condition variable; a helper
+      that has not yet seen a batch, and every lane of a team larger
+      than [Domain.recommended_domain_count ()], parks without spinning.
       A team of size 1 runs the batch inline on the caller, in index
       order, with no lock or broadcast.  If any thunk raised, the first
       captured exception is re-raised after the batch barrier.
       @raise Invalid_argument if the team was shut down. *)
   val run : t -> (unit -> unit) array -> unit
+
+  (** Self-telemetry: non-empty batches run, and parks — waits, by any
+      lane, that outlasted the spin budget and blocked. *)
+  type counters = { batches : int; parks : int }
+
+  val counters : t -> counters
 
   (** Joins the helper domains.  Idempotent. *)
   val shutdown : t -> unit

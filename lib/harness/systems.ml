@@ -36,6 +36,7 @@ type control = {
          runner records the driver's submission schedule against a
          throwaway engine and replays it here, pinning each submission
          to the owning client's LP at the recorded time *)
+  team : Pool.Team.t option;  (* the window team, for its self-telemetry *)
 }
 
 type running = {
@@ -58,6 +59,7 @@ let engine_control engine =
     finish = (fun () -> ());
     close = (fun () -> ());
     stage = None;
+    team = None;
   }
 
 (* Probe sources over a pipeline shared by Draconis and the switch-based
@@ -117,6 +119,7 @@ let sharded_control cluster sync =
         run_until (now () + (2 * Sync.lookahead sync)));
     close = (fun () -> Pool.Team.shutdown team);
     stage = Some (fun ~at tasks -> stage (at, tasks));
+    team = Some team;
   }
 
 let draconis_cluster ?(policy_of = fun _ -> Policy.Fcfs) ?(racks = 1)

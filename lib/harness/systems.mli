@@ -49,6 +49,9 @@ type control = {
           to the owning client's LP at the recorded time.  Open-loop
           drivers stage transparently; closed-loop drivers (which react
           to completions) cannot and must fail loud. *)
+  team : Pool.Team.t option;
+      (** the sharded cluster's window team, read for its
+          {!Pool.Team.counters}; [None] on single-engine systems *)
 }
 
 (** Control for a classic single-engine system: [run_until] =

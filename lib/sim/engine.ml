@@ -102,8 +102,7 @@ let q_push t key tok =
 let q_peek_key t =
   match t.queue with Q_heap h -> Int_heap.peek_key h | Q_wheel w -> Wheel.peek_key w
 
-let next_at t =
-  match q_peek_key t with exception Not_found -> None | key -> Some (key_at key)
+let earliest t = if pending t = 0 then max_int else key_at (q_peek_key t)
 
 (* -- handle slab ----------------------------------------------------------- *)
 

@@ -59,11 +59,11 @@ val executed : t -> int
     queue entries have not yet been consumed). *)
 val pending : t -> int
 
-(** [next_at t] is the timestamp of the earliest queued event (cancelled
+(** [earliest t] is the timestamp of the earliest queued event (cancelled
     entries included — a conservative lower bound on the next live
-    event), or [None] on an empty queue.  Used by the {!Sync} barrier
-    protocol to compute the global safe horizon. *)
-val next_at : t -> Time.t option
+    event), or [max_int] on an empty queue.  Used by the {!Sync} barrier
+    protocol to compute the global safe horizon without allocating. *)
+val earliest : t -> Time.t
 
 (** [schedule t ~after f] runs [f] at [now t + after].
     @raise Invalid_argument if [after < 0]. *)

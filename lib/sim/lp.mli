@@ -3,7 +3,9 @@
     A parallel-in-run simulation partitions the model (hosts, switches)
     into logical processes.  Each LP owns a private {!Engine} — its own
     wheel calendar and virtual clock — plus a derived {!Rng} stream and
-    a thread-safe inbox for events posted by other LPs.  LPs never touch
+    a thread-safe inbox for events posted by other LPs: growable
+    parallel arrays of stamps and closures, in post order, with the
+    earliest stamp tracked so a barrier reads it in O(1).  LPs never touch
     each other's engines directly: all cross-LP communication goes
     through {!post}, and the {!Sync} coordinator injects posted events
     into the destination engine at barrier-window boundaries.
@@ -44,9 +46,15 @@ val post : t -> at:Time.t -> src:int -> seq:int -> (unit -> unit) -> unit
     event and the earliest inbox stamp.  [None] when both are empty. *)
 val next_at : t -> Time.t option
 
+(** {!next_at} without the option: [max_int] when both are empty.
+    Allocation-free, for the per-window floor. *)
+val earliest : t -> Time.t
+
 (** [inject t ~upto] moves every inbox message stamped [<= upto] into
-    the engine, in [(at, src, seq)] order.  Barrier-phase only (the
-    caller must guarantee no concurrent {!post}). *)
+    the engine, in [(at, src, seq)] order, and keeps the rest in post
+    order.  The inbox allocates nothing once it has grown to its peak
+    backlog.  Barrier-phase only (the caller must guarantee no
+    concurrent {!post}). *)
 val inject : t -> upto:Time.t -> unit
 
 (** [set_floor t at] — only {!Sync} calls this: records the window

@@ -221,6 +221,79 @@ let test_team_size1_inline () =
              order := i :: !order));
       Alcotest.(check (list int)) "index order" (List.init 16 Fun.id) (List.rev !order))
 
+(* Many batches with a pause longer than the spin budget before every
+   50th, so lanes take both the spin path and the park path, and every
+   50th batch also has a thunk that sleeps when a helper claims it, so
+   the caller parks at the barrier.  A lost wakeup hangs this test. *)
+let team_stress ~size =
+  let batches = 2_000 in
+  let counts = Array.init batches (fun _ -> Array.make 2 0) in
+  let caller = Domain.self () in
+  let team = H.Pool.Team.create ~size in
+  let c =
+    Fun.protect
+      ~finally:(fun () -> H.Pool.Team.shutdown team)
+      (fun () ->
+        Array.iteri
+          (fun b row ->
+            if b mod 50 = 0 then Unix.sleepf 0.005;
+            H.Pool.Team.run team
+              (Array.init (Array.length row) (fun i () ->
+                   if b mod 50 = 25 && Domain.self () <> caller then Unix.sleepf 0.005;
+                   row.(i) <- row.(i) + 1)))
+          counts;
+        H.Pool.Team.counters team)
+  in
+  Array.iteri
+    (fun b row ->
+      Array.iteri
+        (fun i n -> if n <> 1 then Alcotest.failf "batch %d thunk %d ran %d times" b i n)
+        row)
+    counts;
+  Alcotest.(check int) "batches counted" batches c.batches;
+  Alcotest.(check bool) "parks counted" true (c.parks > 0)
+
+let test_team_spin_park_stress () = team_stress ~size:2
+
+(* Lanes outnumbering cores never spin; the batches must come out the
+   same.  (Capped at the pool's limit on very wide hosts, where the
+   rule cannot be reached.) *)
+let test_team_no_spin_stress () =
+  team_stress ~size:(min H.Pool.max_jobs (Domain.recommended_domain_count () + 2))
+
+(* A thunk that raises on a helper: the caller's own thunk holds its
+   lane until the helper has run the other one, so the failure always
+   lands off the caller.  It is re-raised after the barrier, and the
+   batch after it runs normally. *)
+let test_team_helper_exception () =
+  let team = H.Pool.Team.create ~size:2 in
+  let caller = Domain.self () in
+  Fun.protect
+    ~finally:(fun () -> H.Pool.Team.shutdown team)
+    (fun () ->
+      for round = 1 to 20 do
+        let helper_ran = Atomic.make false in
+        let thunk () =
+          if Domain.self () = caller then begin
+            let deadline = Unix.gettimeofday () +. 10.0 in
+            while (not (Atomic.get helper_ran)) && Unix.gettimeofday () < deadline do
+              Unix.sleepf 0.0001
+            done
+          end
+          else begin
+            Atomic.set helper_ran true;
+            failwith "helper exploded"
+          end
+        in
+        (try
+           H.Pool.Team.run team [| thunk; thunk |];
+           Alcotest.failf "round %d: expected Failure" round
+         with Failure msg -> Alcotest.(check string) "message" "helper exploded" msg);
+        let ok = Atomic.make 0 in
+        H.Pool.Team.run team (Array.init 4 (fun _ () -> Atomic.incr ok));
+        Alcotest.(check int) "next batch healthy" 4 (Atomic.get ok)
+      done)
+
 (* -- determinism: the tentpole guarantee ----------------------------------- *)
 
 let small_spec =
@@ -337,6 +410,12 @@ let suite =
       test_team_no_double_run;
     Alcotest.test_case "size-1 team runs the batch inline, in order" `Quick
       test_team_size1_inline;
+    Alcotest.test_case "team spin/park stress: every thunk once" `Quick
+      test_team_spin_park_stress;
+    Alcotest.test_case "team wider than the cores never spins" `Quick
+      test_team_no_spin_stress;
+    Alcotest.test_case "helper exception re-raised after the barrier" `Quick
+      test_team_helper_exception;
     Alcotest.test_case "determinism: jobs=1 vs jobs=4" `Slow test_jobs1_jobs4_identical;
     Alcotest.test_case "determinism: repeated parallel runs" `Slow
       test_repeated_parallel_runs_identical;

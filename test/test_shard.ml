@@ -96,6 +96,115 @@ let test_injection_sorted_by_stamp () =
   Engine.run (Lp.engine lp);
   Alcotest.(check (list int)) "stamp order" [ 1; 2; 3; 4 ] (List.rev !order)
 
+(* The list-backed inbox the array mailbox replaced, kept as an oracle:
+   prepend on post, partition + stable sort on injection, fold for the
+   earliest stamp. *)
+module Ref_inbox = struct
+  type message = { at : Time.t; src : int; seq : int; fn : unit -> unit }
+
+  type t = {
+    engine : Engine.t;
+    mutable inbox : message list;
+    mutable posted : int;
+    mutable injected : int;
+  }
+
+  let create () = { engine = Engine.create (); inbox = []; posted = 0; injected = 0 }
+
+  let post t ~at ~src ~seq fn =
+    t.inbox <- { at; src; seq; fn } :: t.inbox;
+    t.posted <- t.posted + 1
+
+  let next_at t =
+    let inbox_min =
+      List.fold_left
+        (fun acc m -> match acc with Some a when a <= m.at -> acc | _ -> Some m.at)
+        None t.inbox
+    in
+    let engine_min =
+      match Engine.earliest t.engine with a when a = max_int -> None | a -> Some a
+    in
+    match (engine_min, inbox_min) with
+    | None, m | m, None -> m
+    | Some a, Some b -> Some (min a b)
+
+  let compare_stamp a b =
+    let c = compare a.at b.at in
+    if c <> 0 then c
+    else
+      let c = compare a.src b.src in
+      if c <> 0 then c else compare a.seq b.seq
+
+  let inject t ~upto =
+    let due, later = List.partition (fun m -> m.at <= upto) t.inbox in
+    t.inbox <- later;
+    List.iter
+      (fun m ->
+        ignore (Engine.schedule_at t.engine ~at:m.at m.fn);
+        t.injected <- t.injected + 1)
+      (List.sort compare_stamp due)
+end
+
+type mailbox_op =
+  | Post of int * int  (* source entity, stamp offset past the last horizon *)
+  | Inject of int * int  (* horizon advance, how far short of it the engine stops *)
+
+(* Drive Lp's inbox and the oracle through one random post/inject
+   sequence.  Stamps are unique per (src, seq) and [at]s tie often; the
+   first 40 posts overrun the initial capacity.  After every step the
+   run order so far, next_at, inbox length, posted and injected agree. *)
+let prop_mailbox_matches_list_oracle =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map2 (fun src off -> Post (src, off)) (int_range 0 3) (int_range 0 12));
+          (1, map2 (fun adv lag -> Inject (adv, lag)) (int_range 0 8) (int_range 0 3));
+        ])
+  in
+  let show = function
+    | Post (src, off) -> Printf.sprintf "post(%d,+%d)" src off
+    | Inject (adv, lag) -> Printf.sprintf "inject(+%d,-%d)" adv lag
+  in
+  QCheck.Test.make ~name:"array inbox matches the list inbox" ~count:200
+    (QCheck.make ~print:QCheck.Print.(list show) QCheck.Gen.(list_size (int_range 0 300) op))
+    (fun ops ->
+      let lp = Lp.create ~id:0 ~seed:1 () in
+      let oracle = Ref_inbox.create () in
+      let ran_lp = ref [] and ran_ref = ref [] in
+      let seqs = Array.make 4 0 in
+      let base = ref 0 and next_id = ref 0 in
+      let step op =
+        (match op with
+        | Post (src, off) ->
+          let id = !next_id in
+          incr next_id;
+          seqs.(src) <- seqs.(src) + 1;
+          let at = !base + 1 + off and seq = seqs.(src) in
+          Lp.post lp ~at ~src ~seq (fun () -> ran_lp := id :: !ran_lp);
+          Ref_inbox.post oracle ~at ~src ~seq (fun () -> ran_ref := id :: !ran_ref)
+        | Inject (adv, lag) ->
+          let upto = !base + adv in
+          Lp.inject lp ~upto;
+          Ref_inbox.inject oracle ~upto;
+          let stop = max (Engine.now (Lp.engine lp)) (upto - lag) in
+          Engine.run ~until:stop (Lp.engine lp);
+          Engine.run ~until:stop oracle.engine;
+          base := upto);
+        if !ran_lp <> !ran_ref then QCheck.Test.fail_report "run order diverged";
+        if Lp.next_at lp <> Ref_inbox.next_at oracle then
+          QCheck.Test.fail_report "next_at diverged";
+        if Lp.inbox_length lp <> List.length oracle.inbox then
+          QCheck.Test.fail_report "inbox_length diverged";
+        if Lp.posted lp <> oracle.posted || Lp.injected lp <> oracle.injected then
+          QCheck.Test.fail_report "posted/injected diverged"
+      in
+      List.iter step (List.init 40 (fun i -> Post (i mod 4, i mod 5)) @ ops);
+      step (Inject (1_000, 0));
+      Engine.run (Lp.engine lp);
+      Engine.run oracle.engine;
+      !ran_lp = !ran_ref && Lp.inbox_length lp = 0)
+
 (* -- Sync across a seq-counter renumber ------------------------------------ *)
 
 (* Mirror test_pool's FIFO-ties-across-renumber, but with the churn
@@ -243,6 +352,7 @@ let suite =
       test_mailbox_lookahead_enforced;
     Alcotest.test_case "injection sorts by (at, src, seq)" `Quick
       test_injection_sorted_by_stamp;
+    QCheck_alcotest.to_alcotest prop_mailbox_matches_list_oracle;
     Alcotest.test_case "ties + injection survive renumber" `Slow
       test_sync_ties_survive_renumber;
     Alcotest.test_case "sharded = sequential outcomes" `Quick

@@ -301,10 +301,10 @@ let run_term =
       & info [ "fault" ] ~docv:"PLAN"
           ~doc:
             "Deterministic fault plan: ';'-separated timed events, e.g. \
-             $(b,failover\\@5ms), $(b,crash\\@2ms:node=3,down=1ms), \
-             $(b,burst\\@1ms:dur=500us,loss=0.8), \
-             $(b,partition\\@1ms:hosts=0+1,dur=2ms), \
-             $(b,straggler\\@1ms:node=2,factor=4,dur=2ms).  Pair with \
+             $(b,failover@5ms), $(b,crash@2ms:node=3,down=1ms), \
+             $(b,burst@1ms:dur=500us,loss=0.8), \
+             $(b,partition@1ms:hosts=0+1,dur=2ms), \
+             $(b,straggler@1ms:node=2,factor=4,dur=2ms).  Pair with \
              $(b,--timeout-us) so clients recover lost tasks.")
   in
   Term.(

@@ -244,4 +244,7 @@ let run_until_drained t ~deadline =
   in
   go ()
 
+let watchdog_resends t =
+  Array.fold_left (fun acc w -> acc + Worker.watchdog_resends w) 0 t.workers
+
 let total_executors t = t.config.workers * t.config.executors_per_worker

@@ -87,3 +87,6 @@ val run : t -> until:Time.t -> unit
 val run_until_drained : t -> deadline:Time.t -> bool
 val outstanding : t -> int
 val total_executors : t -> int
+
+(** Pull requests the executors re-sent on a watchdog timeout. *)
+val watchdog_resends : t -> int

@@ -21,10 +21,12 @@ type t = {
   info : Message.executor_info;
   request : Message.t;  (* the Task_request this executor always sends *)
   obs_track : string;  (* cached so the disabled path never formats *)
-  (* Pending watchdog checks, each carrying the generation of the send
-     that armed it.  The window is fixed, so checks expire in send
-     order. *)
-  watchdog : (t, int) Delay_line.t;
+  (* The line of pending watchdog checks this executor shares with its
+     node's other executors, each check carrying the executor and the
+     generation of the send that armed it.  The window is the same for
+     all of them, so checks expire in send order. *)
+  watchdog : t Watchdog.t;
+  mutable watchdog_id : int;  (* this executor's owner id on the line *)
   mutable retry : unit -> unit;  (* the no-op retry, allocated once *)
   mutable on_task_start : Task.t -> node:int -> unit;
   mutable busy : bool;
@@ -39,24 +41,35 @@ type t = {
   mutable slowdown : float;  (* straggler degradation factor, >= 1 *)
   mutable tasks_executed : int;
   mutable busy_time : Time.t;
+  mutable watchdog_resends : int;
 }
 
-let rec send_request t =
+let send_request t =
   if not t.stopped then begin
     t.generation <- t.generation + 1;
     Fabric.send t.fabric ~src:t.addr ~dst:t.config.scheduler t.request;
     match t.config.watchdog with
     | None -> ()
     | Some window ->
-      Delay_line.push t.watchdog ~at:(Engine.now t.engine + window) t t.generation
+      Watchdog.push t.watchdog ~at:(Engine.now t.engine + window) t.watchdog_id
+        t.generation
   end
 
 (* A reply (or a newer send) since the check was armed bumped the
-   generation, which turns the check into a no-op. *)
-and watchdog_check t generation =
-  if (not t.stopped) && (not t.busy) && t.generation = generation then send_request t
+   generation, which kills the check: the line never fires it. *)
+let live t generation = t.generation = generation
 
-let create ~config ~fabric () =
+let watchdog_check t _generation =
+  if (not t.stopped) && not t.busy then begin
+    t.watchdog_resends <- t.watchdog_resends + 1;
+    send_request t
+  end
+
+type watchdog_line = t Watchdog.t
+
+let watchdog_line engine = Watchdog.create engine ~live watchdog_check
+
+let create ~watchdog_line ~config ~fabric () =
   let engine = Fabric.engine fabric in
   let addr = Addr.Host config.node in
   let info : Message.executor_info =
@@ -72,7 +85,8 @@ let create ~config ~fabric () =
       info;
       request = Message.Task_request { info; rtrv_prio = 1 };
       obs_track = Printf.sprintf "exec %d:%d" config.node config.port;
-      watchdog = Delay_line.create engine watchdog_check;
+      watchdog = watchdog_line;
+      watchdog_id = -1;
       retry = ignore;
       on_task_start = (fun _ ~node:_ -> ());
       busy = false;
@@ -83,9 +97,11 @@ let create ~config ~fabric () =
       slowdown = 1.0;
       tasks_executed = 0;
       busy_time = 0;
+      watchdog_resends = 0;
     }
   in
   t.retry <- (fun () -> send_request t);
+  t.watchdog_id <- Watchdog.add watchdog_line t;
   t
 
 let start ?(after = 0) t =
@@ -209,3 +225,4 @@ let busy t = t.busy
 let stopped t = t.stopped
 let tasks_executed t = t.tasks_executed
 let busy_time t = t.busy_time
+let watchdog_resends t = t.watchdog_resends

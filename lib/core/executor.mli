@@ -30,11 +30,24 @@ type config = {
 
 type t
 
-(** [create ~config ~fabric ()] builds an executor for node
-    [config.node] (fabric address [Host node]).  It does not register a
-    fabric handler — the {!Worker} owns the node's handler and routes
-    assignments by port. *)
-val create : config:config -> fabric:Message.t Fabric.t -> unit -> t
+(** The pending watchdog checks of a group of executors (a {!Worker}
+    node's): a {!Watchdog} line, which keeps one armed event for the
+    oldest check still waiting for its reply instead of one event per
+    send. *)
+type watchdog_line
+
+val watchdog_line : Engine.t -> watchdog_line
+
+(** [create ~watchdog_line ~config ~fabric ()] builds an executor for
+    node [config.node] (fabric address [Host node]) whose watchdog
+    checks go on [watchdog_line], which executors may share (a worker
+    node's do).  It does not register a fabric handler — the {!Worker}
+    owns the node's handler and routes assignments by port.  Every
+    watchdog on one engine must have the same window (see {!Watchdog}).
+    @raise Invalid_argument from a send if two watchdog windows on one
+    engine push checks out of time order. *)
+val create :
+  watchdog_line:watchdog_line -> config:config -> fabric:Message.t Fabric.t -> unit -> t
 
 (** [start ?after t] sends the initial task request, optionally delayed
     to stagger executor start-up. *)
@@ -80,3 +93,6 @@ val tasks_executed : t -> int
 
 (** Cumulative time spent executing tasks (ns). *)
 val busy_time : t -> Time.t
+
+(** Pull requests re-sent because a watchdog check found no reply. *)
+val watchdog_resends : t -> int

@@ -6,13 +6,19 @@ type t = { node : int; engine : Engine.t; executors : Executor.t array }
 
 let create ~node ~executors ~fabric ~make_config () =
   if executors < 1 then invalid_arg "Worker.create: need at least one executor";
+  let engine = Fabric.engine fabric in
+  (* One watchdog line per node, not per engine: a node never straddles
+     logical processes, so the line's armed events, and with them the
+     run's event count, do not depend on how nodes are grouped onto
+     LPs. *)
+  let watchdog_line = Executor.watchdog_line engine in
   let t =
     {
       node;
-      engine = Fabric.engine fabric;
+      engine;
       executors =
         Array.init executors (fun port ->
-            Executor.create ~config:(make_config ~port) ~fabric ());
+            Executor.create ~watchdog_line ~config:(make_config ~port) ~fabric ());
     }
   in
   Fabric.register fabric (Addr.Host node) (fun env ->
@@ -63,3 +69,6 @@ let tasks_executed t =
 
 let busy_time t =
   Array.fold_left (fun acc exec -> acc + Executor.busy_time exec) 0 t.executors
+
+let watchdog_resends t =
+  Array.fold_left (fun acc exec -> acc + Executor.watchdog_resends exec) 0 t.executors

@@ -12,7 +12,8 @@ type t
 
 (** [create ~node ~executors ~fabric ~make_config ()] builds a worker
     with [executors] executors whose configs come from
-    [make_config ~port]; registers the node's fabric handler. *)
+    [make_config ~port]; registers the node's fabric handler.  The
+    node's executors share one {!Executor.watchdog_line}. *)
 val create :
   node:int ->
   executors:int ->
@@ -53,3 +54,6 @@ val set_on_task_start : t -> (Task.t -> node:int -> unit) -> unit
 
 val tasks_executed : t -> int
 val busy_time : t -> Time.t
+
+(** Watchdog re-sends summed over the node's executors. *)
+val watchdog_resends : t -> int

@@ -1,11 +1,13 @@
 (** FIFO delay line: a stage whose items leave in the order they enter.
 
     Many stages of the model delay each item by a fixed amount: the
-    pipeline's ingress-to-egress traversal, the recirculation port, an
-    executor's watchdog window.  Exit times are then non-decreasing in
-    push order, so the stage needs no per-item closure: it keeps the
-    in-flight items in a growable ring and schedules one preallocated
-    closure per item, which pops the ring's head.
+    pipeline's ingress-to-egress traversal, the recirculation port.
+    Exit times are then non-decreasing in push order, so the stage needs
+    no per-item closure: it keeps the in-flight items in a growable ring
+    and schedules one preallocated closure per item, which pops the
+    ring's head.  (A stage whose items mostly die before they exit, like
+    executor watchdog checks, uses {!Watchdog}, which does not even
+    schedule an event per item.)
 
     Each push schedules its event at the same point, and therefore with
     the same [(at, seq)] engine key, that a per-item closure scheduled

@@ -11,7 +11,15 @@
    snapshot.  Slots recycle through a freelist when their queue entry is
    consumed, so steady-state schedule/cancel/step allocate nothing; the
    generation in the token guards a caller cancelling a handle whose
-   slot has since been handed to a newer event. *)
+   slot has since been handed to a newer event.
+
+   Reservations are keys taken now and scheduled (or not) later.  They
+   sit in a FIFO ring of keys, in reservation order, which is key order
+   because reservations must not go back in time.  [passed] is the key
+   position the engine has moved past: the last popped key, or the end
+   of a finished [run ~until].  A ring key at or below it is due and is
+   dropped lazily; until then it counts for [earliest] and is remapped
+   by [renumber], exactly like the no-op event it stands for. *)
 
 type calendar = Heap | Wheel
 
@@ -46,6 +54,13 @@ type t = {
   mutable free : int array;  (* stack of recycled slot indices *)
   mutable free_top : int;
   mutable slab_used : int;  (* slots ever handed out *)
+  mutable passed : int;  (* every key <= [passed] is behind the engine *)
+  (* reservation ring: keys in key order, [res_base] the ticket of the
+     key at [res_head] *)
+  mutable res : int array;
+  mutable res_head : int;
+  mutable res_len : int;
+  mutable res_base : int;
 }
 
 let pack ~at ~seq = (at lsl seq_bits) lor seq
@@ -85,6 +100,11 @@ let create ?calendar () =
     free = Array.make cap 0;
     free_top = 0;
     slab_used = 0;
+    passed = -1;
+    res = Array.make 16 0;
+    res_head = 0;
+    res_len = 0;
+    res_base = 0;
   }
 
 let calendar t = match t.queue with Q_heap _ -> Heap | Q_wheel _ -> Wheel
@@ -99,10 +119,53 @@ let q_push t key tok =
   | Q_heap h -> Int_heap.push h key tok
   | Q_wheel w -> Wheel.push w key tok
 
+(* A reserved key goes in behind keys with larger seqs that were pushed
+   before it, so the wheel places it by key, not at its bucket's tail. *)
+let q_insert t key tok =
+  match t.queue with
+  | Q_heap h -> Int_heap.push h key tok
+  | Q_wheel w -> Wheel.insert w key tok
+
 let q_peek_key t =
   match t.queue with Q_heap h -> Int_heap.peek_key h | Q_wheel w -> Wheel.peek_key w
 
-let earliest t = if pending t = 0 then max_int else key_at (q_peek_key t)
+(* -- reservations ---------------------------------------------------------- *)
+
+let res_key t i =
+  let j = t.res_head + i in
+  let cap = Array.length t.res in
+  t.res.(if j >= cap then j - cap else j)
+
+let res_set t i key =
+  let j = t.res_head + i in
+  let cap = Array.length t.res in
+  t.res.(if j >= cap then j - cap else j) <- key
+
+(* Drop the reservations the engine has moved past. *)
+let trim t =
+  while t.res_len > 0 && t.res.(t.res_head) <= t.passed do
+    t.res_head <- (if t.res_head + 1 = Array.length t.res then 0 else t.res_head + 1);
+    t.res_len <- t.res_len - 1;
+    t.res_base <- t.res_base + 1
+  done
+
+let res_push t key =
+  let cap = Array.length t.res in
+  if t.res_len = cap then begin
+    let res = Array.make (2 * cap) 0 in
+    for i = 0 to t.res_len - 1 do
+      res.(i) <- res_key t i
+    done;
+    t.res <- res;
+    t.res_head <- 0
+  end;
+  res_set t t.res_len key;
+  t.res_len <- t.res_len + 1
+
+let earliest t =
+  trim t;
+  let q = if pending t = 0 then max_int else key_at (q_peek_key t) in
+  if t.res_len = 0 then q else Int.min q (key_at t.res.(t.res_head))
 
 (* -- handle slab ----------------------------------------------------------- *)
 
@@ -151,7 +214,11 @@ let slab_release t idx ~flag =
 
 (* -- scheduling ------------------------------------------------------------ *)
 
+(* Queued events and outstanding reservations are renumbered together,
+   in one merged key order; a scheduled reservation is in both and keeps
+   one seq. *)
 let renumber t =
+  trim t;
   let count = pending t in
   let keys = Array.make (max 1 count) 0 in
   let toks = Array.make (max 1 count) 0 in
@@ -169,23 +236,68 @@ let renumber t =
         incr live
       end
       else slab_release t idx ~flag:flag_cancelled);
-  for seq = 0 to !live - 1 do
-    q_push t (pack ~at:(key_at keys.(seq)) ~seq) toks.(seq)
+  let seq = ref 0 and i = ref 0 and j = ref 0 in
+  while !i < !live || !j < t.res_len do
+    let qk = if !i < !live then keys.(!i) else max_int in
+    let rk = if !j < t.res_len then res_key t !j else max_int in
+    if qk <= rk then begin
+      q_push t (pack ~at:(key_at qk) ~seq:!seq) toks.(!i);
+      incr i
+    end;
+    if rk <= qk then begin
+      res_set t !j (pack ~at:(key_at rk) ~seq:!seq);
+      incr j
+    end;
+    incr seq
   done;
-  t.seq <- !live
+  t.seq <- !seq;
+  (* Every renumbered key is past [passed] and now has a seq >= 0. *)
+  t.passed <- (pack ~at:(key_at t.passed) ~seq:0) - 1
 
-let schedule_at t ~at f =
+let check_at t ~what at =
   if at < t.clock then
-    invalid_arg
-      (Printf.sprintf "Engine.schedule_at: at=%d is before now=%d" at t.clock);
+    invalid_arg (Printf.sprintf "Engine.%s: at=%d is before now=%d" what at t.clock);
   if at > max_at then
     invalid_arg
-      (Printf.sprintf "Engine.schedule_at: at=%d exceeds the representable horizon %d"
-         at max_at);
+      (Printf.sprintf "Engine.%s: at=%d exceeds the representable horizon %d" what at
+         max_at)
+
+(* The next key at [at], renumbering first if the seq field is full. *)
+let next_key t ~at =
   if t.seq >= seq_limit then renumber t;
-  let tok = slab_alloc t f in
-  q_push t (pack ~at ~seq:t.seq) tok;
+  let key = pack ~at ~seq:t.seq in
   t.seq <- t.seq + 1;
+  key
+
+let schedule_at t ~at f =
+  check_at t ~what:"schedule_at" at;
+  let key = next_key t ~at in
+  let tok = slab_alloc t f in
+  q_push t key tok;
+  tok
+
+type reservation = int
+
+let reserve t ~at =
+  check_at t ~what:"reserve" at;
+  trim t;
+  if t.res_len > 0 && at < key_at (res_key t (t.res_len - 1)) then
+    invalid_arg
+      (Printf.sprintf
+         "Engine.reserve: at=%d is before %d, the last outstanding reservation \
+          (reservations are taken in time order)"
+         at
+         (key_at (res_key t (t.res_len - 1))));
+  res_push t (next_key t ~at);
+  t.res_base + t.res_len - 1
+
+let schedule_reserved t r f =
+  trim t;
+  let i = r - t.res_base in
+  if i < 0 || i >= t.res_len then
+    invalid_arg "Engine.schedule_reserved: the reservation's key is already behind the engine";
+  let tok = slab_alloc t f in
+  q_insert t (res_key t i) tok;
   tok
 
 let schedule t ~after f =
@@ -203,6 +315,7 @@ let cancelled t h =
 
 let exec t key tok =
   t.clock <- key_at key;
+  t.passed <- key;
   let idx = tok land idx_mask in
   if Bytes.unsafe_get t.flags idx = flag_pending then begin
     let fn = t.fns.(idx) in
@@ -229,18 +342,32 @@ let step t =
       exec t (Wheel.popped_key w) (Wheel.popped_value w);
       true)
 
+(* A drained queue leaves only unscheduled reservations: the clock
+   moves through them as through the no-op events they stand for. *)
+let pass_reservations t =
+  trim t;
+  if t.res_len > 0 then begin
+    let last = res_key t (t.res_len - 1) in
+    t.clock <- Int.max t.clock (key_at last);
+    t.passed <- last;
+    trim t
+  end
+
 let run ?until ?max_events t =
   match until with
   | None -> (
     (* No horizon: drain without peeking, so each event costs a single
        queue operation. *)
     match max_events with
-    | None -> while step t do () done
+    | None ->
+      while step t do () done;
+      pass_reservations t
     | Some n ->
       let budget = ref n in
       while !budget > 0 && step t do
         decr budget
-      done)
+      done;
+      if pending t = 0 then pass_reservations t)
   | Some limit ->
     let budget = ref (match max_events with None -> max_int | Some n -> n) in
     let continue = ref true in
@@ -258,12 +385,17 @@ let run ?until ?max_events t =
        it has run — including when the queue is merely empty up to
        [limit], or when the budget expired with only beyond-horizon
        events left.  Only an exhausted budget with work still due before
-       [limit] leaves the clock at the last executed event. *)
-    if t.clock < limit then (
+       [limit] leaves the clock at the last executed event.  Reaching the
+       horizon also passes every key taken so far at or before it. *)
+    let reached =
       match q_peek_key t with
-      | exception Not_found -> t.clock <- limit
-      | key when key_at key > limit -> t.clock <- limit
-      | _ -> ())
+      | exception Not_found -> true
+      | key -> key_at key > limit
+    in
+    if reached then begin
+      if t.clock < limit then t.clock <- limit;
+      t.passed <- Int.max t.passed ((limit lsl seq_bits) + t.seq - 1)
+    end
 
 let every t ~interval ~until f =
   if interval <= 0 then invalid_arg "Engine.every: interval must be positive";

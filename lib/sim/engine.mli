@@ -21,7 +21,9 @@
     keeps its buckets in flat integer arrays.  The only per-event
     allocation left is the caller's closure, and a stage whose items
     leave in the order they enter avoids even that through
-    {!Delay_line}. *)
+    {!Delay_line}.  A stage whose items mostly die before they leave
+    (timeout checks) schedules events only for the live ones through
+    {!Watchdog}, on {!reserve}d keys. *)
 
 type t
 
@@ -56,12 +58,14 @@ val now : t -> Time.t
 val executed : t -> int
 
 (** Number of events currently queued (including cancelled events whose
-    queue entries have not yet been consumed). *)
+    queue entries have not yet been consumed).  Reservations that were
+    never scheduled are not counted. *)
 val pending : t -> int
 
 (** [earliest t] is the timestamp of the earliest queued event (cancelled
     entries included — a conservative lower bound on the next live
-    event), or [max_int] on an empty queue.  Used by the {!Sync} barrier
+    event) or outstanding {!reserve}d key, whichever is earlier, or
+    [max_int] when there is neither.  Used by the {!Sync} barrier
     protocol to compute the global safe horizon without allocating. *)
 val earliest : t -> Time.t
 
@@ -74,6 +78,42 @@ val schedule : t -> after:Time.t -> (unit -> unit) -> handle
     representable horizon of the packed event key (about 36 simulated
     minutes). *)
 val schedule_at : t -> at:Time.t -> (unit -> unit) -> handle
+
+(** {2 Reserved keys}
+
+    A stage that may or may not need an event at a known instant (a
+    timeout check that an answer usually makes moot) can take the event's
+    key now and decide later.  [reserve t ~at] takes the [(at, seq)] key
+    a [schedule_at t ~at] call would have taken at this moment;
+    [schedule_reserved] later queues an event under that key, so it fires
+    exactly where the early schedule would have fired, relative to every
+    other event.
+
+    Until the engine moves past it, an outstanding reservation stands for
+    a no-op event at its key, whether it is ever scheduled or not:
+    {!earliest} counts it, seq renumbering remaps it together with the
+    queued events, and a {!run} that drains the queue moves the clock
+    through it.  Only {!executed} and {!pending} leave it out, and it
+    takes no [max_events] budget.  So a stage that skips the events it
+    does not need leaves the order, the clocks and the barrier windows of
+    a run unchanged: only the event count drops.
+
+    Reservations are kept in a FIFO ring: they must be taken in
+    non-decreasing [at] order across the whole engine (one stream of
+    fixed-delay checks per engine). *)
+
+type reservation = private int
+
+(** [reserve t ~at] takes the next key at [at].
+    @raise Invalid_argument if [at < now t], [at] exceeds the key
+    horizon, or [at] is earlier than the last outstanding reservation. *)
+val reserve : t -> at:Time.t -> reservation
+
+(** [schedule_reserved t r f] runs [f] under [r]'s key.  Schedule a
+    reservation at most once.
+    @raise Invalid_argument if the engine has already moved past the
+    key. *)
+val schedule_reserved : t -> reservation -> (unit -> unit) -> handle
 
 (** [cancel t h] prevents the event from firing.  Cancelling an event
     that already fired (or was already cancelled) is a no-op; the

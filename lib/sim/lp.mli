@@ -18,7 +18,16 @@
     cross-LP events enter an engine depends only on the stamps — never
     on which domain ran which LP first, and never on how the model was
     partitioned.  This is what makes sharded runs reproduce the
-    sequential ([DRACONIS_SHARDS=1]) outcomes exactly. *)
+    sequential ([DRACONIS_SHARDS=1]) outcomes exactly.
+
+    Injection schedules each message with a fresh engine seq at the
+    start of the window that covers its stamp.  So how an injected event
+    ties with a local event on the same nanosecond depends on where the
+    window floors fall, and the floors are {!Engine.earliest} over every
+    LP.  Anything that moves a floor can move a tie, and with it an
+    outcome, even when it removes only events that do nothing.  That is
+    why {!Engine.earliest} still counts reserved keys that were never
+    scheduled (see {!Engine.reserve}). *)
 
 type t
 

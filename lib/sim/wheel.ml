@@ -137,7 +137,26 @@ let link t ~level ~tick n =
   t.tail.(i) <- n;
   t.nnext.(n) <- -1
 
-let push t key v =
+(* Insert node [n] into its bucket in front of the first node of the
+   same tick with a larger key, so that tick's nodes stay in key order
+   (cascades then keep that order).  Same bucket as [link]. *)
+let link_sorted t ~level ~tick n =
+  let slot = (tick lsr (level * slot_bits)) land slot_mask in
+  let i = (level lsl slot_bits) lor slot in
+  let key = t.nkey.(n) in
+  let rec seek prev cur =
+    if cur >= 0 && not (t.nkey.(cur) asr t.shift = tick && t.nkey.(cur) > key) then
+      seek cur t.nnext.(cur)
+    else begin
+      t.nnext.(n) <- cur;
+      if prev < 0 then t.head.(i) <- n else t.nnext.(prev) <- n;
+      if cur < 0 then t.tail.(i) <- n;
+      t.bits.(level) <- t.bits.(level) lor (1 lsl slot)
+    end
+  in
+  seek (-1) t.head.(i)
+
+let place t key v ~sorted =
   let tick = key asr t.shift in
   t.mvalid <- false;
   (* An empty wheel has no resident keys to order against, so the cursor
@@ -151,9 +170,13 @@ let push t key v =
     t.free <- t.nnext.(n);
     t.nkey.(n) <- key;
     t.nval.(n) <- v;
-    link t ~level:(level_of t tick) ~tick n;
+    let level = level_of t tick in
+    if sorted then link_sorted t ~level ~tick n else link t ~level ~tick n;
     t.count <- t.count + 1
   end
+
+let push t key v = place t key v ~sorted:false
+let insert t key v = place t key v ~sorted:true
 
 (* Move every node of bucket [(level, slot)] down to its finer-level
    bucket.  Called exactly when the cursor enters the bucket's window,

@@ -35,7 +35,16 @@ val create : ?shift:int -> ?capacity:int -> unit -> t
 val length : t -> int
 val is_empty : t -> bool
 
+(** [push t key v] adds a binding.  Same-tick keys pop in push order,
+    so [key] must exceed every resident key of its tick (the engine's
+    fresh seqs guarantee it). *)
 val push : t -> int -> int -> unit
+
+(** [insert t key v] adds a binding in key order among the resident
+    keys of its tick, for a key taken earlier than keys already pushed
+    (an engine reservation).  It walks the key's bucket, so it costs
+    more than {!push}. *)
+val insert : t -> int -> int -> unit
 
 (** [pop t] removes and returns the minimum binding.
     @raise Not_found if the wheel is empty. *)

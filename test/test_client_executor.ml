@@ -121,6 +121,10 @@ let exec_config ?(watchdog = None) () =
     watchdog;
   }
 
+(* A lone executor with a watchdog line of its own. *)
+let new_executor engine fabric config =
+  Executor.create ~watchdog_line:(Executor.watchdog_line engine) ~config ~fabric ()
+
 let test_executor_pull_loop () =
   let engine, fabric, _ = make_env () in
   let requests = ref 0 in
@@ -137,7 +141,7 @@ let test_executor_pull_loop () =
       | Message.Task_completion { task_id; rtrv_prio; _ } ->
         completions := (task_id.tid, rtrv_prio) :: !completions
       | _ -> ());
-  let exec = Executor.create ~config:(exec_config ()) ~fabric () in
+  let exec = new_executor engine fabric (exec_config ()) in
   (* Route switch->host traffic to the executor directly. *)
   Fabric.register fabric (Addr.Host 0) (fun env -> Executor.deliver exec env.Fabric.payload);
   Executor.start exec;
@@ -157,7 +161,7 @@ let test_executor_noop_backoff () =
         Fabric.send fabric ~src:Addr.Switch ~dst:(Addr.Host 0)
           (Message.Noop_assignment { port = 2 })
       | _ -> ());
-  let exec = Executor.create ~config:(exec_config ()) ~fabric () in
+  let exec = new_executor engine fabric (exec_config ()) in
   Fabric.register fabric (Addr.Host 0) (fun env -> Executor.deliver exec env.Fabric.payload);
   Executor.start exec;
   Engine.run ~until:(Time.us 40) engine;
@@ -175,7 +179,7 @@ let test_executor_watchdog_resends () =
   (* A scheduler that never answers. *)
   Fabric.register fabric Addr.Switch (fun _ -> incr requests);
   let exec =
-    Executor.create ~config:(exec_config ~watchdog:(Some (Time.us 50)) ()) ~fabric ()
+    new_executor engine fabric (exec_config ~watchdog:(Some (Time.us 50)) ())
   in
   Fabric.register fabric (Addr.Host 0) (fun env -> Executor.deliver exec env.Fabric.payload);
   Executor.start exec;
@@ -201,7 +205,7 @@ let request_log ~reply ~until =
         | None -> ())
       | _ -> ());
   let exec =
-    Executor.create ~config:(exec_config ~watchdog:(Some watchdog) ()) ~fabric ()
+    new_executor engine fabric (exec_config ~watchdog:(Some watchdog) ())
   in
   Fabric.register fabric (Addr.Host 0) (fun env -> Executor.deliver exec env.Fabric.payload);
   Executor.start exec;
@@ -319,7 +323,7 @@ let test_executor_stop () =
   let engine, fabric, _ = make_env () in
   let requests = ref 0 in
   Fabric.register fabric Addr.Switch (fun _ -> incr requests);
-  let exec = Executor.create ~config:(exec_config ()) ~fabric () in
+  let exec = new_executor engine fabric (exec_config ()) in
   Executor.stop exec;
   Executor.start exec;
   Engine.run engine;

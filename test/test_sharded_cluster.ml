@@ -233,8 +233,78 @@ let test_feed_noop_rejects_staged () =
            false
          with Invalid_argument _ -> true))
 
+(* -- Values pinned from the one-closure-per-check watchdog ----------------- *)
+
+(* Every outcome field but the event counts, which the watchdog line
+   lowers by design. *)
+let fingerprint (o : H.Runner.outcome) =
+  Printf.sprintf
+    "p50=%d p99=%d mean=%.6f dps=%.3f sub=%d start=%d done=%d timeouts=%d rej=%d \
+     recirc=%.6f rdrop=%d swaps=%d recircs=%d flags=%d drained=%b"
+    o.sched_p50 o.sched_p99 o.sched_mean o.decisions_per_sec o.submitted o.started
+    o.completed o.timeouts o.rejected o.recirc_fraction o.recirc_drops o.swaps
+    o.recirculations o.repair_flags o.drained
+
+(* Barrier windows are cut at [Engine.earliest], which counted every
+   dead watchdog check while each check was its own event.  The line
+   keeps them in the floor, so the window sequence, and with it the
+   same-nanosecond order of injected events, is unchanged. *)
+let test_window_floors_pinned () =
+  let r = run_cluster ~seed:1 2 in
+  Alcotest.(check int) "barrier windows" 6_476 r.windows;
+  Alcotest.(check string) "outcome"
+    "p50=5564 p99=16589 mean=6222.897380 dps=91600.000 sub=916 start=916 done=916 \
+     timeouts=0 rej=0 recirc=0.051240 rdrop=0 swaps=0 recircs=680 flags=680 drained=true"
+    (fingerprint r.outcome)
+
+let resubmitted clients =
+  Array.fold_left (fun acc c -> acc + Draconis.Client.resubmitted c) 0 clients
+
+(* Runs where watchdogs do fire: 2% loss eats requests and replies, so
+   checks find no reply and executors re-send. *)
+let lossy_run ~system ~loss ~fabric ~clients ~resends =
+  Draconis_net.Fabric.set_loss_override fabric (Some loss);
+  let driver = H.Exp_common.synthetic_driver kind ~rate_tps:40_000.0 ~horizon in
+  let o = H.Runner.run system ~driver ~load_tps:40_000.0 ~horizon () in
+  Alcotest.(check bool) "watchdogs fired" true (resends () > 0);
+  Printf.sprintf "%s resubmitted=%d resends=%d" (fingerprint o) (resubmitted (clients ()))
+    (resends ())
+
+let test_lossy_legacy_pinned () =
+  let cluster, system =
+    H.Systems.draconis_cluster ~client_timeout:(Time.ms 1) { spec with seed = 3 }
+  in
+  Alcotest.(check string) "outcome"
+    "p50=51575 p99=3936174 mean=552730.564270 dps=46600.000 sub=402 start=459 done=402 \
+     timeouts=72 rej=0 recirc=0.048607 rdrop=0 swaps=0 recircs=178 flags=178 drained=true \
+     resubmitted=72 resends=121"
+    (lossy_run ~system ~loss:0.02 ~fabric:(Draconis.Cluster.fabric cluster)
+       ~clients:(fun () -> Draconis.Cluster.clients cluster)
+       ~resends:(fun () ->
+         Array.fold_left
+           (fun acc w -> acc + Draconis.Worker.watchdog_resends w)
+           0 (Draconis.Cluster.workers cluster)))
+
+let test_lossy_central_server_pinned () =
+  let module Cs = Draconis_baselines.Central_server in
+  let server, system =
+    H.Systems.central_server_system ~client_timeout:(Time.ms 2) Cs.Dpdk
+      { spec with seed = 3 }
+  in
+  Alcotest.(check string) "outcome"
+    "p50=6975 p99=6400304 mean=706640.414692 dps=43100.000 sub=402 start=422 done=399 \
+     timeouts=95 rej=0 recirc=0.000000 rdrop=0 swaps=0 recircs=0 flags=0 drained=true \
+     resubmitted=92 resends=1"
+    (lossy_run ~system ~loss:0.02 ~fabric:(Cs.fabric server)
+       ~clients:(fun () -> Cs.clients server)
+       ~resends:(fun () -> Cs.watchdog_resends server))
+
 let suite =
   [
+    Alcotest.test_case "window floors pinned at 2 LPs" `Quick test_window_floors_pinned;
+    Alcotest.test_case "lossy legacy cluster pinned" `Quick test_lossy_legacy_pinned;
+    Alcotest.test_case "lossy central server pinned" `Quick
+      test_lossy_central_server_pinned;
     Alcotest.test_case "outcomes bit-identical across shards {1,2,4}" `Quick
       test_outcome_equality;
     Alcotest.test_case "bimodal (fig6-shape) equality" `Quick test_bimodal_equality;

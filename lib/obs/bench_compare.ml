@@ -71,7 +71,17 @@ let load path =
   let schema = string_field "schema" json ~default:"" in
   if schema <> "draconis-bench/1" then
     Error (Printf.sprintf "%s: expected a draconis-bench report, got schema %S" path schema)
-  else Ok json
+  else
+    (* Outcomes pair up by key, so a key that occurs twice would silently
+       pair its first occurrence only. *)
+    let rec first_dup seen = function
+      | [] -> None
+      | (key, _) :: rest ->
+        if List.mem key seen then Some key else first_dup (key :: seen) rest
+    in
+    match first_dup [] (outcomes json) with
+    | Some key -> Error (Printf.sprintf "%s: duplicate outcome key %s" path key)
+    | None -> Ok json
 
 let make_check ~tol_pct ~key ~field ~allowed_floor base cur =
   let allowed = Float.max allowed_floor (tol_pct *. Float.abs base) in

@@ -34,7 +34,9 @@ type t = {
 }
 
 (** [compare_files ?tol_pct ~base_path ~cur_path] — [tol_pct] defaults
-    to [0.10] (±10%). *)
+    to [0.10] (±10%).  [Error] names the file and the key when either
+    report carries the same outcome key twice: such rows cannot be
+    paired. *)
 val compare_files :
   ?tol_pct:float -> base_path:string -> cur_path:string -> unit -> (t, string) result
 

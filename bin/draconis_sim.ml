@@ -10,6 +10,7 @@ open Draconis_sim
 module H = Draconis_harness
 module W = Draconis_workload
 module Obs = Draconis_obs
+module Plan = Draconis_net.Plan
 
 (* -- observability options (shared by run and figures) --------------------- *)
 
@@ -145,40 +146,28 @@ let system_names =
   [ "draconis"; "r2p2-1"; "r2p2-3"; "r2p2-5"; "racksched"; "sparrow"; "sparrow2";
     "dpdk-server"; "socket-server" ]
 
-(* Returns the running handle plus, where the system supports it, the
-   fault-injection target for --fault plans (sparrow has no timeout
-   path, so no target). *)
-let make_system_with_target name (spec : H.Systems.spec) timeout_us =
-  let module F = Draconis_fault in
-  let timeout = Option.map Time.us timeout_us in
+(* [faults] is the --fault plan, handed to the system as it is built.
+   Sparrow has no timeout path to recover with, so it takes none. *)
+let make_system ?(faults = Plan.empty) name (spec : H.Systems.spec) timeout_us =
+  let client_timeout = Option.map Time.us timeout_us in
   match name with
-  | "draconis" ->
-    let cluster, running = H.Systems.draconis_cluster ?client_timeout:timeout spec in
-    (running, Some (F.Target.of_cluster ~name:running.H.Systems.name cluster))
+  | "draconis" -> H.Systems.draconis ?client_timeout ~faults spec
   | "r2p2-1" | "r2p2-3" | "r2p2-5" ->
     let k = int_of_string (String.sub name 5 1) in
-    let r2p2, running = H.Systems.r2p2_system ~k ?client_timeout:timeout spec in
-    (running, Some (F.Target.of_r2p2 ~name:running.H.Systems.name r2p2))
-  | "racksched" ->
-    let racksched, running = H.Systems.racksched_system ?client_timeout:timeout spec in
-    (running, Some (F.Target.of_racksched ~name:running.H.Systems.name racksched))
-  | "sparrow" -> (H.Systems.sparrow ~schedulers:1 spec, None)
-  | "sparrow2" -> (H.Systems.sparrow ~schedulers:2 spec, None)
+    H.Systems.r2p2 ~k ?client_timeout ~faults spec
+  | "racksched" -> H.Systems.racksched ?client_timeout ~faults spec
+  | ("sparrow" | "sparrow2") when not (Plan.is_empty faults) ->
+    Printf.eprintf "--fault is not supported for system %S\n" name;
+    exit 1
+  | "sparrow" -> H.Systems.sparrow ~schedulers:1 spec
+  | "sparrow2" -> H.Systems.sparrow ~schedulers:2 spec
   | "dpdk-server" ->
-    let server, running =
-      H.Systems.central_server_system ?client_timeout:timeout
-        Draconis_baselines.Central_server.Dpdk spec
-    in
-    (running, Some (F.Target.of_central_server ~name:running.H.Systems.name server))
+    H.Systems.central_server ?client_timeout ~faults
+      Draconis_baselines.Central_server.Dpdk spec
   | "socket-server" ->
-    let server, running =
-      H.Systems.central_server_system ?client_timeout:timeout
-        Draconis_baselines.Central_server.Socket spec
-    in
-    (running, Some (F.Target.of_central_server ~name:running.H.Systems.name server))
+    H.Systems.central_server ?client_timeout ~faults
+      Draconis_baselines.Central_server.Socket spec
   | other -> invalid_arg ("unknown system: " ^ other)
-
-let make_system name spec timeout_us = fst (make_system_with_target name spec timeout_us)
 
 let run_cmd obs system_name workload_name load_tps utilization workers epw clients
     seed horizon_ms timeout_us fault_spec =
@@ -197,29 +186,22 @@ let run_cmd obs system_name workload_name load_tps utilization workers epw clien
       | None, u -> u *. H.Exp_common.capacity_tps kind ~executors
     in
     let horizon = Time.ms horizon_ms in
-    let module F = Draconis_fault in
+    let bad_plan msg =
+      Printf.eprintf "bad --fault plan: %s\n" msg;
+      exit 1
+    in
     let plan =
       match fault_spec with
-      | None -> F.Plan.empty
-      | Some spec -> (
-        try F.Plan.of_string spec
-        with Invalid_argument msg ->
-          Printf.eprintf "bad --fault plan: %s\n" msg;
-          exit 1)
+      | None -> Plan.empty
+      | Some spec -> ( try Plan.of_string spec with Invalid_argument msg -> bad_plan msg)
     in
-    let system, target = make_system_with_target system_name spec timeout_us in
-    let injector =
-      if F.Plan.is_empty plan then None
+    (* A plan naming a host or node the system lacks fails here, at
+       construction, before anything runs. *)
+    let system =
+      if Plan.is_empty plan then make_system system_name spec timeout_us
       else
-        match target with
-        | None ->
-          Printf.eprintf "--fault is not supported for system %S\n" system_name;
-          exit 1
-        | Some target -> (
-          try Some (F.Injector.arm plan target)
-          with Invalid_argument msg ->
-            Printf.eprintf "bad --fault plan: %s\n" msg;
-            exit 1)
+        try make_system ~faults:plan system_name spec timeout_us
+        with Invalid_argument msg -> bad_plan msg
     in
     let driver = H.Exp_common.synthetic_driver kind ~rate_tps:load ~horizon in
     let o = H.Runner.run system ~driver ~load_tps:load ~horizon () in
@@ -234,17 +216,17 @@ let run_cmd obs system_name workload_name load_tps utilization workers epw clien
       o.submitted o.started o.completed o.timeouts o.rejected;
     Printf.printf "  recirculation %.3f%% | recirc drops %d | drained %b\n"
       (100.0 *. o.recirc_fraction) o.recirc_drops o.drained;
-    match injector with
-    | None -> ()
-    | Some injector ->
+    if not (Plan.is_empty plan) then begin
+      let failovers = system.H.Systems.failovers () in
       List.iter
         (fun (at, what) -> Printf.printf "  [%.1f us] %s\n" (Time.to_us at) what)
-        (F.Injector.fired injector);
+        (Plan.timeline plan ~failovers ~until:(system.control.now ()));
       let report =
-        F.Recovery.measure ~metrics:system.H.Systems.metrics ~injector ~until:horizon
-          ()
+        H.Recovery.measure ~system:system.name ~metrics:system.metrics ~failovers
+          ~until:horizon ()
       in
-      Format.printf "%a@." F.Recovery.pp report
+      Format.printf "%a@." H.Recovery.pp report
+    end
 
 let run_term =
   let system =

@@ -24,6 +24,7 @@ type config = {
   noop_retry : Time.t;
   fabric_config : Fabric.config;
   client_timeout : Time.t option;
+  faults : Plan.t;
 }
 
 let default_config =
@@ -37,6 +38,7 @@ let default_config =
     noop_retry = Time.us 4;
     fabric_config = Fabric.default_config;
     client_timeout = None;
+    faults = Plan.empty;
   }
 
 type queued = { task : Task.t; client : Addr.t }
@@ -57,6 +59,7 @@ type t = {
   parked : (Addr.t * int, unit) Hashtbl.t;
   workers : Worker.t array;
   clients : Client.t array;
+  mutable failovers : (Time.t * int) list;  (* newest first *)
 }
 
 let cost t = per_packet_cost t.config.variant
@@ -126,10 +129,31 @@ let handle t (msg : Message.t) ~arrived_at =
   | Param_fetch _ | Param_data _ ->
     ()
 
+let fail_over_server t =
+  (* The server host dies and a cold standby takes over: the in-memory
+     task queue and the parked pull requests are gone.  Executors
+     recover via their watchdog re-sends; lost tasks via client
+     timeouts. *)
+  let lost = Queue.length t.queue in
+  Queue.clear t.queue;
+  Queue.clear t.idle;
+  Hashtbl.reset t.parked;
+  if Trace.enabled () then
+    Trace.emit ~at:(Engine.now t.engine) Trace.Host
+      (lazy (Printf.sprintf "server FAIL-OVER: %d queued task(s) lost" lost));
+  t.failovers <- (Engine.now t.engine, lost) :: t.failovers;
+  lost
+
+let failovers t = List.rev t.failovers
+
+let stagger (config : config) = max 1 (Time.us 1 / max 1 config.executors_per_worker)
+
 let create (config : config) =
   let engine = Engine.create () in
   let rng = Rng.create ~seed:config.seed in
-  let fabric = Fabric.create ~config:config.fabric_config engine rng in
+  let fabric =
+    Fabric.create ~config:config.fabric_config ~faults:config.faults engine rng
+  in
   let metrics = Metrics.create engine in
   let server_host = config.workers in
   let server_addr = Addr.Host server_host in
@@ -165,7 +189,8 @@ let create (config : config) =
   in
   let t =
     { config; engine; fabric; metrics; server_addr; cpu; queue = Queue.create ();
-      idle = Queue.create (); parked = Hashtbl.create 256; workers; clients }
+      idle = Queue.create (); parked = Hashtbl.create 256; workers; clients;
+      failovers = [] }
   in
   Array.iter
     (fun worker ->
@@ -177,46 +202,19 @@ let create (config : config) =
   Fabric.register fabric server_addr (fun env ->
       let arrived_at = Engine.now engine in
       Cpu.submit cpu ~cost:(cost t) (fun () -> handle t env.Fabric.payload ~arrived_at));
+  Plan.arm config.faults ~what:"Central_server.create"
+    ~hosts:(server_host + 1 + config.clients)
+    ~switch:engine
+    ~failover:(fun () -> ignore (fail_over_server t))
+    ~nodes:(Worker.plan_nodes workers ~stagger:(stagger config))
+    ();
   t
 
 let start t =
-  let stagger = max 1 (Time.us 1 / max 1 t.config.executors_per_worker) in
-  Array.iter (fun worker -> Worker.start worker ~stagger) t.workers
+  Array.iter (fun worker -> Worker.start worker ~stagger:(stagger t.config)) t.workers
 
 let engine t = t.engine
-let fabric t = t.fabric
 let metrics t = t.metrics
-
-let fail_over_server t =
-  (* The server host dies and a cold standby takes over: the in-memory
-     task queue and the parked pull requests are gone.  Executors
-     recover via their watchdog re-sends; lost tasks via client
-     timeouts. *)
-  let lost = Queue.length t.queue in
-  Queue.clear t.queue;
-  Queue.clear t.idle;
-  Hashtbl.reset t.parked;
-  if Trace.enabled () then
-    Trace.emit ~at:(Engine.now t.engine) Trace.Host
-      (lazy (Printf.sprintf "server FAIL-OVER: %d queued task(s) lost" lost));
-  lost
-
-let stagger t = max 1 (Time.us 1 / max 1 t.config.executors_per_worker)
-
-let crash_worker t i =
-  if i < 0 || i >= Array.length t.workers then
-    invalid_arg "Central_server.crash_worker: bad index";
-  Worker.crash t.workers.(i)
-
-let restart_worker t i =
-  if i < 0 || i >= Array.length t.workers then
-    invalid_arg "Central_server.restart_worker: bad index";
-  Worker.restart t.workers.(i) ~stagger:(stagger t)
-
-let set_node_slowdown t i factor =
-  if i < 0 || i >= Array.length t.workers then
-    invalid_arg "Central_server.set_node_slowdown: bad index";
-  Worker.set_slowdown t.workers.(i) factor
 
 let client t i =
   if i < 0 || i >= Array.length t.clients then

@@ -40,25 +40,29 @@ type config = {
   noop_retry : Time.t;
   fabric_config : Fabric.config;
   client_timeout : Time.t option;
+  faults : Plan.t;
+      (** fail-over takes down the server host; every other event acts
+          as on a Draconis cluster ({!Draconis.Cluster.config}).  Host
+          ids: workers [0 .. workers-1], the server [workers], clients
+          after it *)
 }
 
-(** Paper shape: 10x16 executors, 2 clients, DPDK variant. *)
+(** Paper shape: 10x16 executors, 2 clients, DPDK variant, no faults. *)
 val default_config : config
 
 type t
 
+(** @raise Invalid_argument on a fault plan naming a host or node the
+    deployment does not have ({!Draconis_net.Plan.arm}). *)
 val create : config -> t
 
 (** [start t] launches the executors' pull loops. *)
 val start : t -> unit
 
 val engine : t -> Engine.t
-val fabric : t -> Draconis_proto.Message.t Fabric.t
 val metrics : t -> Metrics.t
 val client : t -> int -> Client.t
 val clients : t -> Client.t array
-
-(** {2 Fault injection} *)
 
 (** [fail_over_server t] models the server host dying and a cold standby
     taking over: the in-memory task queue and parked pull requests are
@@ -66,13 +70,8 @@ val clients : t -> Client.t array
     via timeouts, executors re-announce via watchdogs. *)
 val fail_over_server : t -> int
 
-(** [crash_worker t i] crashes every executor on worker [i]. *)
-val crash_worker : t -> int -> unit
-
-val restart_worker : t -> int -> unit
-
-(** [set_node_slowdown t i f] straggler degradation (f >= 1.0). *)
-val set_node_slowdown : t -> int -> float -> unit
+(** Fail-overs so far, chronological: time and queued tasks lost. *)
+val failovers : t -> (Time.t * int) list
 
 (** Tasks currently queued at the server. *)
 val queue_length : t -> int

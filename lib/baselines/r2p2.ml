@@ -29,6 +29,7 @@ type config = {
   fabric_config : Fabric.config;
   pipeline_config : Pipeline.config;
   client_timeout : Time.t option;
+  faults : Plan.t;
 }
 
 let default_config =
@@ -43,6 +44,7 @@ let default_config =
     fabric_config = Fabric.default_config;
     pipeline_config = Pipeline.default_config;
     client_timeout = None;
+    faults = Plan.empty;
   }
 
 type switch = {
@@ -66,11 +68,11 @@ type switch = {
 type t = {
   config : config;
   engine : Engine.t;
-  fabric : Message.t Fabric.t;
   pipeline : (Message.t, pkt) Pipeline.t;
   switch : switch;
   metrics : Metrics.t;
   clients : Client.t array;
+  mutable failovers : (Time.t * int) list;  (* newest first *)
 }
 
 (* One search pass: probe [window] consecutive executors, each touching a
@@ -209,13 +211,45 @@ let program (sw : switch) : (Message.t, pkt) Pipeline.program =
       | Noop_assignment _ | Param_fetch _ | Param_data _ ) ->
     [ Pipeline.Drop ]
 
+let fail_over_switch t =
+  (* Standby switch comes up with zeroed registers: every executor is
+     believed idle again and any recirculating Search packet (a task
+     hunting for a slot) is lost with the dead switch.  Tasks already
+     pushed to executors keep running — only the switch's view resets —
+     so the returned count is the believed occupancy that was lost, and
+     mid-search tasks are recovered by client timeouts. *)
+  let sw = t.switch in
+  let slots = sw.n / sw.window in
+  let believed = ref 0 in
+  for offset = 0 to sw.window - 1 do
+    for slot = 0 to slots - 1 do
+      believed := !believed + Register.peek sw.counters.(offset) slot;
+      Register.poke sw.counters.(offset) slot 0
+    done
+  done;
+  for slot = 0 to slots - 1 do
+    Register.poke sw.idle_mask slot ((1 lsl sw.window) - 1)
+  done;
+  Pipeline.flush_in_flight t.pipeline;
+  if Trace.enabled () then
+    Trace.emit ~at:(Engine.now t.engine) Trace.Pipeline
+      (lazy
+        (Printf.sprintf "r2p2 switch FAIL-OVER: %d believed-occupancy slot(s) reset"
+           !believed));
+  t.failovers <- (Engine.now t.engine, !believed) :: t.failovers;
+  !believed
+
+let failovers t = List.rev t.failovers
+
 let create config =
   if config.workers * config.executors_per_worker mod config.window <> 0 then
     invalid_arg "R2p2.create: window must divide the executor count";
   if config.jbsq_k < 1 then invalid_arg "R2p2.create: jbsq_k must be >= 1";
   let engine = Engine.create () in
   let rng = Rng.create ~seed:config.seed in
-  let fabric = Fabric.create ~config:config.fabric_config engine rng in
+  let fabric =
+    Fabric.create ~config:config.fabric_config ~faults:config.faults engine rng
+  in
   let metrics = Metrics.create engine in
   let n = config.workers * config.executors_per_worker in
   let sw =
@@ -368,39 +402,18 @@ let create config =
             }
           ~fabric ~metrics ())
   in
-  { config; engine; fabric; pipeline; switch = sw; metrics; clients }
+  let t =
+    { config; engine; pipeline; switch = sw; metrics; clients; failovers = [] }
+  in
+  (* Push executors have no crash or straggler hooks. *)
+  Plan.arm config.faults ~what:"R2p2.create" ~hosts:(config.workers + config.clients)
+    ~switch:engine ~failover:(fun () -> ignore (fail_over_switch t))
+    ();
+  t
 
 let engine t = t.engine
-let fabric t = t.fabric
 let metrics t = t.metrics
 let pipeline t = t.pipeline
-
-let fail_over_switch t =
-  (* Standby switch comes up with zeroed registers: every executor is
-     believed idle again and any recirculating Search packet (a task
-     hunting for a slot) is lost with the dead switch.  Tasks already
-     pushed to executors keep running — only the switch's view resets —
-     so the returned count is the believed occupancy that was lost, and
-     mid-search tasks are recovered by client timeouts. *)
-  let sw = t.switch in
-  let slots = sw.n / sw.window in
-  let believed = ref 0 in
-  for offset = 0 to sw.window - 1 do
-    for slot = 0 to slots - 1 do
-      believed := !believed + Register.peek sw.counters.(offset) slot;
-      Register.poke sw.counters.(offset) slot 0
-    done
-  done;
-  for slot = 0 to slots - 1 do
-    Register.poke sw.idle_mask slot ((1 lsl sw.window) - 1)
-  done;
-  Pipeline.flush_in_flight t.pipeline;
-  if Trace.enabled () then
-    Trace.emit ~at:(Engine.now t.engine) Trace.Pipeline
-      (lazy
-        (Printf.sprintf "r2p2 switch FAIL-OVER: %d believed-occupancy slot(s) reset"
-           !believed));
-  !believed
 
 let client t i =
   if i < 0 || i >= Array.length t.clients then invalid_arg "R2p2.client: bad index";

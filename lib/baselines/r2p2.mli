@@ -56,6 +56,9 @@ type config = {
   fabric_config : Fabric.config;
   pipeline_config : Pipeline.config;
   client_timeout : Time.t option;  (** drop recovery (paper: ~2x task time) *)
+  faults : Plan.t;
+      (** fail-over, loss bursts and partitions; crash and straggler
+          events are rejected *)
 }
 
 (** Paper shape: 10x16 executors, 2 clients, k = 3, window = 16. *)
@@ -63,10 +66,12 @@ val default_config : config
 
 type t
 
+(** @raise Invalid_argument on a fault plan with a crash or straggler
+    event, or a partition naming a host the deployment does not have
+    ({!Draconis_net.Plan.arm}). *)
 val create : config -> t
 
 val engine : t -> Engine.t
-val fabric : t -> Message.t Fabric.t
 val metrics : t -> Metrics.t
 val pipeline : t -> (Message.t, pkt) Pipeline.t
 val client : t -> int -> Client.t
@@ -78,6 +83,10 @@ val clients : t -> Client.t array
     Tasks already pushed to executors keep running.  Returns the
     believed occupancy wiped from the registers. *)
 val fail_over_switch : t -> int
+
+(** Fail-overs so far, chronological: time and believed or queued
+    state lost. *)
+val failovers : t -> (Time.t * int) list
 
 (** Current counter value for an executor (control-plane view). *)
 val counter : t -> int -> int

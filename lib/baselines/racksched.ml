@@ -17,6 +17,7 @@ type config = {
   fabric_config : Fabric.config;
   pipeline_config : Pipeline.config;
   client_timeout : Time.t option;
+  faults : Plan.t;
 }
 
 let default_config =
@@ -31,6 +32,7 @@ let default_config =
     fabric_config = Fabric.default_config;
     pipeline_config = Pipeline.default_config;
     client_timeout = None;
+    faults = Plan.empty;
   }
 
 type switch = {
@@ -44,11 +46,11 @@ type switch = {
 type t = {
   config : config;
   engine : Engine.t;
-  fabric : Message.t Fabric.t;
   pipeline : (Message.t, pkt) Pipeline.t;
   switch : switch;
   metrics : Metrics.t;
   clients : Client.t array;
+  mutable failovers : (Time.t * int) list;  (* newest first *)
 }
 
 (* Deterministic per-task sampling hash, standing in for the switch's
@@ -141,10 +143,27 @@ let program (sw : switch) : (Message.t, pkt) Pipeline.program =
       | Noop_assignment _ | Param_fetch _ | Param_data _ ) ->
     [ Pipeline.Drop ]
 
+let fail_over_switch t =
+  (* Standby switch starts with zeroed queue-length counters and no
+     in-flight packets.  RackSched queues tasks at the nodes, not the
+     switch, so no queued work is lost — but the counters now under-read
+     until completions re-balance them. *)
+  Array.iter (fun reg -> Register.poke reg 0 0) t.switch.qlen;
+  Pipeline.flush_in_flight t.pipeline;
+  if Trace.enabled () then
+    Trace.emit ~at:(Engine.now t.engine) Trace.Pipeline
+      (lazy "racksched switch FAIL-OVER: qlen counters reset");
+  t.failovers <- (Engine.now t.engine, 0) :: t.failovers;
+  0
+
+let failovers t = List.rev t.failovers
+
 let create (config : config) =
   let engine = Engine.create () in
   let rng = Rng.create ~seed:config.seed in
-  let fabric = Fabric.create ~config:config.fabric_config engine rng in
+  let fabric =
+    Fabric.create ~config:config.fabric_config ~faults:config.faults engine rng
+  in
   let metrics = Metrics.create engine in
   let sw =
     {
@@ -206,24 +225,18 @@ let create (config : config) =
             }
           ~fabric ~metrics ())
   in
-  { config; engine; fabric; pipeline; switch = sw; metrics; clients }
+  let t =
+    { config; engine; pipeline; switch = sw; metrics; clients; failovers = [] }
+  in
+  (* Node workers have no crash or straggler hooks. *)
+  Plan.arm config.faults ~what:"Racksched.create" ~hosts:(config.workers + config.clients)
+    ~switch:engine ~failover:(fun () -> ignore (fail_over_switch t))
+    ();
+  t
 
 let engine t = t.engine
-let fabric t = t.fabric
 let metrics t = t.metrics
 let pipeline t = t.pipeline
-
-let fail_over_switch t =
-  (* Standby switch starts with zeroed queue-length counters and no
-     in-flight packets.  RackSched queues tasks at the nodes, not the
-     switch, so no queued work is lost — but the counters now under-read
-     until completions re-balance them. *)
-  Array.iter (fun reg -> Register.poke reg 0 0) t.switch.qlen;
-  Pipeline.flush_in_flight t.pipeline;
-  if Trace.enabled () then
-    Trace.emit ~at:(Engine.now t.engine) Trace.Pipeline
-      (lazy "racksched switch FAIL-OVER: qlen counters reset");
-  0
 
 let client t i =
   if i < 0 || i >= Array.length t.clients then invalid_arg "Racksched.client: bad index";

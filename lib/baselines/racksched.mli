@@ -40,6 +40,9 @@ type config = {
   fabric_config : Fabric.config;
   pipeline_config : Pipeline.config;
   client_timeout : Time.t option;
+  faults : Plan.t;
+      (** fail-over, loss bursts and partitions; crash and straggler
+          events are rejected *)
 }
 
 (** Paper shape: 10x16 executors, 2 clients, 3.5 us intra-node cost. *)
@@ -47,10 +50,12 @@ val default_config : config
 
 type t
 
+(** @raise Invalid_argument on a fault plan with a crash or straggler
+    event, or a partition naming a host the deployment does not have
+    ({!Draconis_net.Plan.arm}). *)
 val create : config -> t
 
 val engine : t -> Engine.t
-val fabric : t -> Message.t Fabric.t
 val metrics : t -> Metrics.t
 val pipeline : t -> (Message.t, pkt) Pipeline.t
 val client : t -> int -> Client.t
@@ -62,6 +67,10 @@ val clients : t -> Client.t array
     lost (returns 0), but the counters under-read until completions
     re-balance them. *)
 val fail_over_switch : t -> int
+
+(** Fail-overs so far, chronological: time and believed or queued
+    state lost. *)
+val failovers : t -> (Time.t * int) list
 
 (** Queue-length counter of a node (control-plane view). *)
 val queue_length : t -> int -> int

@@ -12,23 +12,6 @@ open Draconis_sim
 open Draconis_net
 open Draconis_p4
 
-(** Faults a {e sharded} cluster can express: static time windows,
-    evaluated as pure functions of (simulated time, endpoint) so every
-    logical process agrees without runtime mutation of shared state.
-    Intervals are half-open [\[start, stop)].  Overlapping loss windows
-    (and the fabric config's base loss) compose by max probability;
-    overlapping straggler windows by max factor. *)
-type static_faults = {
-  loss_windows : (Time.t * Time.t * float) array;
-      (** (start, stop, drop probability) *)
-  cut_windows : (Time.t * Time.t * int list) array;
-      (** (start, stop, hosts cut off) *)
-  slow_windows : (Time.t * Time.t * int * float) array;
-      (** (start, stop, worker node, slowdown factor >= 1.0) *)
-}
-
-val no_faults : static_faults
-
 type config = {
   seed : int;
   workers : int;
@@ -51,24 +34,26 @@ type config = {
           entity-to-entity traffic stamped through the sharded
           {!Draconis_net.Fabric.router}.  Outcomes are bit-identical for
           every valid [n].  [None]: the classic single-engine cluster. *)
-  static_faults : static_faults;
-      (** sharded mode only; {!create} rejects a non-empty value with
-          [shards = None] (the classic cluster takes faults from the
-          runtime {!Draconis_fault.Injector} instead) *)
+  faults : Plan.t;
+      (** the run's faults, in either mode: loss and partition windows
+          in the fabric, and fail-over, crash/restart and straggler
+          edges scheduled by {!create} on the owning engine (the switch
+          LP for fail-over, the worker's LP for the rest) *)
 }
 
 (** The paper's testbed shape: 10 workers x 16 executors, 2 clients,
     1 rack, FCFS, 164K-entry queue, calibrated fabric/pipeline, 4 us
     no-op retry, all resources on every node, no client timeout,
-    unsharded, no static faults. *)
+    unsharded, no faults. *)
 val default_config : config
 
 type t
 
 (** @raise Invalid_argument on a config with no workers or clients, more
     shards than [1 + workers + clients] (the switch LP plus one LP per
-    host — the cap on useful LP groups for the topology), static faults
-    without [shards], or an out-of-range fault window. *)
+    host — the cap on useful LP groups for the topology), or a fault
+    plan naming a host outside [\[0, workers + clients)] or a node
+    outside [\[0, workers)] ({!Draconis_net.Plan.arm}). *)
 val create : config -> t
 
 (** [start t] launches all executors (staggered within ~1 us). *)
@@ -125,20 +110,9 @@ val outstanding : t -> int
     switch dies and a standby takes over with a {e fresh} scheduling
     pipeline — every queued task is lost and must be recovered by client
     timeouts.  Returns the number of tasks that were queued (and lost)
-    at the moment of fail-over. *)
+    at the moment of fail-over.  A plan's [failover] events call it on
+    the switch's engine. *)
 val fail_over_switch : t -> int
 
-(** {2 Fault injection} — the hooks the fault injector
-    ({!Draconis_fault.Injector}) arms against a cluster. *)
-
-(** [crash_worker t i] crashes every executor on worker [i]; its
-    in-flight tasks vanish and are recovered by client timeouts. *)
-val crash_worker : t -> int -> unit
-
-(** [restart_worker t i] revives worker [i]'s executors (staggered like
-    {!start}). *)
-val restart_worker : t -> int -> unit
-
-(** [set_node_slowdown t i f] applies straggler degradation [f] (>= 1.0,
-    1.0 = full speed) to every executor on worker [i]. *)
-val set_node_slowdown : t -> int -> float -> unit
+(** Fail-overs so far, chronological: time and queued tasks lost. *)
+val failovers : t -> (Time.t * int) list

@@ -52,6 +52,16 @@ let restart t ~stagger =
 
 let crashed t = Array.for_all Executor.stopped t.executors
 let set_slowdown t factor = Array.iter (fun e -> Executor.set_slowdown e factor) t.executors
+
+let plan_nodes workers ~stagger =
+  {
+    Plan.count = Array.length workers;
+    engine = (fun n -> workers.(n).engine);
+    crash = (fun n -> crash workers.(n));
+    restart = (fun n -> restart workers.(n) ~stagger);
+    slowdown = (fun n factor -> set_slowdown workers.(n) factor);
+  }
+
 let node t = t.node
 
 let executor t i =

@@ -44,6 +44,12 @@ val crashed : t -> bool
     executor on the node ([1.0] restores full speed). *)
 val set_slowdown : t -> float -> unit
 
+(** [plan_nodes workers ~stagger] exposes an array of nodes (index =
+    node id) to {!Draconis_net.Plan.arm}: crash, restart (staggered
+    like {!restart}) and straggler edges act on each node, on the engine
+    its executors run on. *)
+val plan_nodes : t array -> stagger:Time.t -> Plan.nodes
+
 val node : t -> int
 val executor : t -> int -> Executor.t
 val executor_count : t -> int

@@ -1,8 +1,8 @@
 (** Execute a {!Schedule.t} against the real switch: the
     {!Draconis.Switch_program} over {!Draconis.Circular_queue}
     registers, driven through the {!Draconis_p4.Pipeline} and the
-    latency-modeled {!Draconis_net.Fabric}, with fault ops armed via
-    {!Draconis_fault.Injector}.
+    latency-modeled {!Draconis_net.Fabric}, with fault ops as a
+    {!Draconis_net.Plan}.
 
     The rig is fully deterministic: clients at [Host 0..], executors at
     [Host 100..] (odd-indexed executors pull — they complete tasks and
@@ -35,9 +35,10 @@ val run : ?bug:bug -> Schedule.t -> Checker.run
     host <-> switch message stamped through the
     {!Draconis_net.Fabric.router} mailboxes.  [shards] is 1 (every
     entity on one LP) or 2 (switch LP + host LP — all traffic crosses
-    the LP boundary).  The schedule's fault ops compile to the static
-    [loss_at]/[cut_at]/straggler window evaluators the sharded fabric
-    requires, so the recorded run is a pure function of the schedule —
+    the LP boundary).  The schedule's fault ops are the same plan the
+    single-engine rig reads, whose windows are pure functions of
+    simulated time, so the recorded run is a pure function of the
+    schedule —
     and, by the determinism contract, identical for both [shards]
     values up to host-side event interleaving (checked by the
     sharded-consistency invariant).

@@ -6,7 +6,7 @@
     protocol — tiny capacities, same-tick bursts, duplicate
     submissions, invalid retrieve priorities, pointer starts just below
     the 32-bit wrap, and (on ~30% of schedules) composed fault windows
-    from {!Draconis_fault}. *)
+    as a {!Draconis_net.Plan}. *)
 
 (** Generate one schedule.  [ops] bounds the op count (default 40).
     @raise Invalid_argument if [ops < 1]. *)

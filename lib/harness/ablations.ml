@@ -238,6 +238,7 @@ let work_stealing ~quick =
                 });
             probes = (fun () -> []);
             phase_attribution = false;
+            failovers = (fun () -> Draconis_baselines.R2p2.failovers sys);
             control = Systems.engine_control (Draconis_baselines.R2p2.engine sys);
           }
         in

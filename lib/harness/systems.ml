@@ -48,6 +48,7 @@ type running = {
   extras : unit -> extras;
   probes : unit -> (string * (unit -> int)) list;
   phase_attribution : bool;
+  failovers : unit -> (Time.t * int) list;
   control : control;
 }
 
@@ -125,7 +126,7 @@ let sharded_control cluster sync =
 let draconis_cluster ?(policy_of = fun _ -> Policy.Fcfs) ?(racks = 1)
     ?(queue_capacity = 164_000) ?(rsrc_of_node = fun _ -> 0xFFFFFFFF) ?client_timeout
     ?(noop_retry = Time.us 4) ?(pipeline_config = Draconis_p4.Pipeline.default_config)
-    ?shards ?(faults = Cluster.no_faults) spec =
+    ?shards ?(faults = Draconis_net.Plan.empty) spec =
   let cluster =
     Cluster.create
       {
@@ -142,7 +143,7 @@ let draconis_cluster ?(policy_of = fun _ -> Policy.Fcfs) ?(racks = 1)
         client_timeout;
         pipeline_config;
         shards;
-        static_faults = faults;
+        faults;
       }
   in
   Cluster.start cluster;
@@ -187,6 +188,7 @@ let draconis_cluster ?(policy_of = fun _ -> Policy.Fcfs) ?(racks = 1)
              :: pipeline_probes (Cluster.pipeline cluster))
             @ fabric_probes (Cluster.fabric cluster));
       phase_attribution = Option.is_none sharded;
+      failovers = (fun () -> Cluster.failovers cluster);
       control;
     }
   in
@@ -198,9 +200,9 @@ let draconis ?policy_of ?racks ?queue_capacity ?rsrc_of_node ?client_timeout
     (draconis_cluster ?policy_of ?racks ?queue_capacity ?rsrc_of_node ?client_timeout
        ?noop_retry ?pipeline_config ?shards ?faults spec)
 
-let r2p2_system ~k ?client_timeout
+let r2p2 ~k ?client_timeout
     ?(pipeline_config = Draconis_p4.Pipeline.default_config)
-    ?(work_stealing = false) spec =
+    ?(work_stealing = false) ?(faults = Draconis_net.Plan.empty) spec =
   let system =
     B.R2p2.create
       {
@@ -213,10 +215,10 @@ let r2p2_system ~k ?client_timeout
         work_stealing;
         client_timeout;
         pipeline_config;
+        faults;
       }
   in
-  ( system,
-    {
+  {
     name = Printf.sprintf "R2P2-%d%s" k (if work_stealing then "+WS" else "");
     engine = B.R2p2.engine system;
     metrics = B.R2p2.metrics system;
@@ -224,24 +226,23 @@ let r2p2_system ~k ?client_timeout
       round_robin_submit (B.R2p2.clients system) (fun client tasks ->
           ignore (Client.submit_job client tasks));
     outstanding = (fun () -> B.R2p2.outstanding system);
-      extras =
-        (fun () ->
-          let pipeline = B.R2p2.pipeline system in
-          {
-            recirc_fraction = Draconis_p4.Pipeline.recirculation_fraction pipeline;
-            recirc_drops = Draconis_p4.Pipeline.recirc_dropped pipeline;
-            pipeline_processed = Draconis_p4.Pipeline.processed pipeline;
-            queue_rejections = 0;
-          });
-      probes = (fun () -> pipeline_probes (B.R2p2.pipeline system));
-      phase_attribution = false;
-      control = engine_control (B.R2p2.engine system);
-    } )
+    extras =
+      (fun () ->
+        let pipeline = B.R2p2.pipeline system in
+        {
+          recirc_fraction = Draconis_p4.Pipeline.recirculation_fraction pipeline;
+          recirc_drops = Draconis_p4.Pipeline.recirc_dropped pipeline;
+          pipeline_processed = Draconis_p4.Pipeline.processed pipeline;
+          queue_rejections = 0;
+        });
+    probes = (fun () -> pipeline_probes (B.R2p2.pipeline system));
+    phase_attribution = false;
+    failovers = (fun () -> B.R2p2.failovers system);
+    control = engine_control (B.R2p2.engine system);
+  }
 
-let r2p2 ~k ?client_timeout ?pipeline_config ?work_stealing spec =
-  snd (r2p2_system ~k ?client_timeout ?pipeline_config ?work_stealing spec)
-
-let racksched_system ?client_timeout ?(samples = 2) ?(intra = B.Node_worker.Fcfs) spec =
+let racksched ?client_timeout ?(samples = 2) ?(intra = B.Node_worker.Fcfs)
+    ?(faults = Draconis_net.Plan.empty) spec =
   let system =
     B.Racksched.create
       {
@@ -253,6 +254,7 @@ let racksched_system ?client_timeout ?(samples = 2) ?(intra = B.Node_worker.Fcfs
         samples;
         intra;
         client_timeout;
+        faults;
       }
   in
   let name =
@@ -262,31 +264,28 @@ let racksched_system ?client_timeout ?(samples = 2) ?(intra = B.Node_worker.Fcfs
     | 2, B.Node_worker.Processor_sharing _ -> "RackSched-PS"
     | k, B.Node_worker.Processor_sharing _ -> Printf.sprintf "RackSched-Po%d-PS" k
   in
-  ( system,
-    {
-      name;
-      engine = B.Racksched.engine system;
-      metrics = B.Racksched.metrics system;
-      submit =
-        round_robin_submit (B.Racksched.clients system) (fun client tasks ->
-            ignore (Client.submit_job client tasks));
-      outstanding = (fun () -> B.Racksched.outstanding system);
-      extras =
-        (fun () ->
-          let pipeline = B.Racksched.pipeline system in
-          {
-            recirc_fraction = Draconis_p4.Pipeline.recirculation_fraction pipeline;
-            recirc_drops = Draconis_p4.Pipeline.recirc_dropped pipeline;
-            pipeline_processed = Draconis_p4.Pipeline.processed pipeline;
-            queue_rejections = 0;
-          });
-      probes = (fun () -> pipeline_probes (B.Racksched.pipeline system));
-      phase_attribution = false;
-      control = engine_control (B.Racksched.engine system);
-    } )
-
-let racksched ?client_timeout ?samples ?intra spec =
-  snd (racksched_system ?client_timeout ?samples ?intra spec)
+  {
+    name;
+    engine = B.Racksched.engine system;
+    metrics = B.Racksched.metrics system;
+    submit =
+      round_robin_submit (B.Racksched.clients system) (fun client tasks ->
+          ignore (Client.submit_job client tasks));
+    outstanding = (fun () -> B.Racksched.outstanding system);
+    extras =
+      (fun () ->
+        let pipeline = B.Racksched.pipeline system in
+        {
+          recirc_fraction = Draconis_p4.Pipeline.recirculation_fraction pipeline;
+          recirc_drops = Draconis_p4.Pipeline.recirc_dropped pipeline;
+          pipeline_processed = Draconis_p4.Pipeline.processed pipeline;
+          queue_rejections = 0;
+        });
+    probes = (fun () -> pipeline_probes (B.Racksched.pipeline system));
+    phase_attribution = false;
+    failovers = (fun () -> B.Racksched.failovers system);
+    control = engine_control (B.Racksched.engine system);
+  }
 
 let sparrow ~schedulers spec =
   let system =
@@ -314,10 +313,12 @@ let sparrow ~schedulers spec =
     extras = (fun () -> no_extras);
     probes = (fun () -> []);
     phase_attribution = false;
+    failovers = (fun () -> []);
     control = engine_control (B.Sparrow.engine system);
   }
 
-let central_server_system ?client_timeout variant spec =
+let central_server_system ?client_timeout ?(faults = Draconis_net.Plan.empty) variant
+    spec =
   let system =
     B.Central_server.create
       {
@@ -328,6 +329,7 @@ let central_server_system ?client_timeout variant spec =
         clients = spec.clients;
         variant;
         client_timeout;
+        faults;
       }
   in
   B.Central_server.start system;
@@ -353,8 +355,9 @@ let central_server_system ?client_timeout variant spec =
           });
       probes = (fun () -> []);
       phase_attribution = false;
+      failovers = (fun () -> B.Central_server.failovers system);
       control = engine_control (B.Central_server.engine system);
     } )
 
-let central_server ?client_timeout variant spec =
-  snd (central_server_system ?client_timeout variant spec)
+let central_server ?client_timeout ?faults variant spec =
+  snd (central_server_system ?client_timeout ?faults variant spec)

@@ -77,6 +77,10 @@ type running = {
           share the client and executor but not the switch program, so
           their milestone streams would be incomplete; also false for a
           sharded cluster (ambient observability is domain-local) *)
+  failovers : unit -> (Time.t * int) list;
+      (** scheduler fail-overs so far, chronological: time and queued
+          tasks (or believed-occupancy slots) lost; read by
+          {!Recovery.measure} *)
   control : control;
 }
 
@@ -86,9 +90,13 @@ type running = {
     [?shards] routes the cluster through [n] logical processes (see
     {!Draconis.Cluster.config}); the returned control then runs barrier
     windows on a {!Pool.Team} sized [min n (Pool.jobs ())] and
-    requires staged submission.  [?faults] supplies the static fault
-    windows a sharded run can express.  Outcomes are bit-identical
-    across shard counts. *)
+    requires staged submission.  [?faults] is the run's fault plan
+    ({!Draconis.Cluster.config}), in either mode.  Outcomes are
+    bit-identical across shard counts, faults included.
+
+    Every constructor but {!sparrow} takes [?faults] (default: none);
+    a plan the system cannot honour raises [Invalid_argument] before
+    the run. *)
 val draconis :
   ?policy_of:(Topology.t -> Policy.t) ->
   ?racks:int ->
@@ -98,7 +106,7 @@ val draconis :
   ?noop_retry:Time.t ->
   ?pipeline_config:Draconis_p4.Pipeline.config ->
   ?shards:int ->
-  ?faults:Cluster.static_faults ->
+  ?faults:Plan.t ->
   spec ->
   running
 
@@ -113,7 +121,7 @@ val draconis_cluster :
   ?noop_retry:Time.t ->
   ?pipeline_config:Draconis_p4.Pipeline.config ->
   ?shards:int ->
-  ?faults:Cluster.static_faults ->
+  ?faults:Plan.t ->
   spec ->
   Cluster.t * running
 
@@ -122,6 +130,7 @@ val r2p2 :
   ?client_timeout:Time.t ->
   ?pipeline_config:Draconis_p4.Pipeline.config ->
   ?work_stealing:bool ->
+  ?faults:Plan.t ->
   spec ->
   running
 
@@ -129,37 +138,23 @@ val racksched :
   ?client_timeout:Time.t ->
   ?samples:int ->
   ?intra:Draconis_baselines.Node_worker.intra_policy ->
+  ?faults:Plan.t ->
   spec ->
   running
 val sparrow : schedulers:int -> spec -> running
 
 val central_server :
   ?client_timeout:Time.t ->
+  ?faults:Plan.t ->
   Draconis_baselines.Central_server.variant ->
   spec ->
   running
 
-(** {2 Raw-handle constructors} — same systems, also returning the
-    underlying instance for experiments that need deeper access (the
-    fault injector builds its {!Draconis_fault.Target.t} from these). *)
-
-val r2p2_system :
-  k:int ->
-  ?client_timeout:Time.t ->
-  ?pipeline_config:Draconis_p4.Pipeline.config ->
-  ?work_stealing:bool ->
-  spec ->
-  Draconis_baselines.R2p2.t * running
-
-val racksched_system :
-  ?client_timeout:Time.t ->
-  ?samples:int ->
-  ?intra:Draconis_baselines.Node_worker.intra_policy ->
-  spec ->
-  Draconis_baselines.Racksched.t * running
-
+(** Same as {!central_server}, also returning the server for callers
+    that need deeper access. *)
 val central_server_system :
   ?client_timeout:Time.t ->
+  ?faults:Plan.t ->
   Draconis_baselines.Central_server.variant ->
   spec ->
   Draconis_baselines.Central_server.t * running

@@ -12,13 +12,10 @@ type 'msg envelope = {
   int_ : Obs.Int_telemetry.stack option;
 }
 
-type burst = { p_enter : float; p_exit : float; loss_bad : float }
-
 type config = {
   host_to_switch : Time.t;
   jitter : Time.t;
   loss : float;
-  burst : burst option;
   detour_fraction : float;
   detour_extra : Time.t;
 }
@@ -28,7 +25,6 @@ let default_config =
     host_to_switch = Time.ns 1_500;
     jitter = Time.ns 150;
     loss = 0.0;
-    burst = None;
     detour_fraction = 0.0;
     detour_extra = 0;
   }
@@ -38,9 +34,8 @@ let default_config =
    inbox with [(arrival, entity, seq)], drawing latency jitter and loss
    from the {e sender entity}'s own stream — so neither the LP
    partitioning nor the domain schedule can shift a draw or reorder two
-   same-time deliveries.  Faults are static time windows ([win_loss],
-   [win_cut]) instead of the mutable runtime controls, for the same
-   reason. *)
+   same-time deliveries.  The fault windows are pure functions of
+   simulated time, so every LP evaluates them identically. *)
 type 'msg shard = {
   s_lookahead : Time.t;
   lps : Lp.t array;
@@ -48,8 +43,6 @@ type 'msg shard = {
   lp_of_host : int array;  (* host id -> LP index *)
   eid_rng : Rng.t array;  (* entity id (switch 0, host h -> h+1) -> stream *)
   eid_seq : int array;  (* entity id -> monotone mailbox-stamp counter *)
-  win_loss : Time.t -> float;
-  win_cut : Time.t -> int -> bool;
   instances : 'msg t option array;  (* per-LP instance, same index as [lps] *)
 }
 
@@ -57,6 +50,7 @@ and 'msg t = {
   engine : Engine.t;
   rng : Rng.t;
   config : config;
+  faults : Plan.t;  (* read for its loss and partition windows *)
   (* [Some (ctx, lp_index)] on a per-LP instance of a sharded router;
      [None] on the classic single-engine fabric. *)
   shard : ('msg shard * int) option;
@@ -65,19 +59,10 @@ and 'msg t = {
      Hashtbl probe. *)
   mutable host_handlers : ('msg envelope -> unit) option array;
   mutable switch_handler : ('msg envelope -> unit) option;
-  (* Gilbert-Elliott channel state: [bad] flips per send according to the
-     configured transition probabilities. *)
-  mutable bad : bool;
-  (* Fault-injection override: when set, replaces the configured loss
-     probability (and suspends the burst model) until cleared. *)
-  mutable loss_override : float option;
-  (* Partitioned hosts, refcounted so overlapping fault windows compose:
-     a host is cut off while its count is positive. *)
-  partitioned : (int, int) Hashtbl.t;
-  (* Precomputed: no configured loss, no burst model, no injected
-     override, no active partition — the common case, where [send] skips
-     every drop branch with a single flag test. *)
-  mutable lossless : bool;
+  (* Precomputed: no configured loss and no loss or partition window —
+     the common case, where [send] skips the drop decision with a single
+     flag test. *)
+  lossless : bool;
   mutable delivered : int;
   mutable lost : int;
   mutable partition_dropped : int;
@@ -88,35 +73,24 @@ let check_probability ~what p =
   if p < 0.0 || p > 1.0 || Float.is_nan p then
     invalid_arg (Printf.sprintf "Fabric.create: %s must be in [0,1]" what)
 
-let recompute_lossless t =
-  t.lossless <-
-    t.loss_override = None
-    && t.config.loss = 0.0
-    && t.config.burst = None
-    && Hashtbl.length t.partitioned = 0
-
-let create ?(config = default_config) engine rng =
+let check_config config =
   check_probability ~what:"loss" config.loss;
   check_probability ~what:"detour_fraction" config.detour_fraction;
-  (match config.burst with
-  | None -> ()
-  | Some { p_enter; p_exit; loss_bad } ->
-    check_probability ~what:"burst.p_enter" p_enter;
-    check_probability ~what:"burst.p_exit" p_exit;
-    check_probability ~what:"burst.loss_bad" loss_bad);
   if config.host_to_switch < 0 then
     invalid_arg "Fabric.create: host_to_switch must be non-negative";
   if config.jitter < 0 then invalid_arg "Fabric.create: jitter must be non-negative";
   if config.detour_extra < 0 then
-    invalid_arg "Fabric.create: detour_extra must be non-negative";
-  let t =
-    { engine; rng; config; shard = None; host_handlers = Array.make 64 None;
-      switch_handler = None; bad = false;
-      loss_override = None; partitioned = Hashtbl.create 8; lossless = false;
-      delivered = 0; lost = 0; partition_dropped = 0; undeliverable = 0 }
-  in
-  recompute_lossless t;
-  t
+    invalid_arg "Fabric.create: detour_extra must be non-negative"
+
+let instance ~config ~faults ~shard ~hosts engine rng =
+  { engine; rng; config; faults; shard; host_handlers = Array.make (max 64 hosts) None;
+    switch_handler = None;
+    lossless = config.loss = 0.0 && not (Plan.has_windows faults);
+    delivered = 0; lost = 0; partition_dropped = 0; undeliverable = 0 }
+
+let create ?(config = default_config) ?(faults = Plan.empty) engine rng =
+  check_config config;
+  instance ~config ~faults ~shard:None ~hosts:0 engine rng
 
 let engine t = t.engine
 
@@ -143,52 +117,6 @@ let handler_of t = function
     if h >= 0 && h < Array.length t.host_handlers then
       Array.unsafe_get t.host_handlers h
     else None
-
-(* The runtime fault controls mutate fabric-global state mid-run, which
-   a sharded router cannot honour deterministically (an LP may already
-   have simulated past the change).  Sharded runs express faults as
-   static windows instead ([router ~loss_at ~cut_at]). *)
-let require_unsharded t what =
-  match t.shard with
-  | None -> ()
-  | Some _ ->
-    invalid_arg
-      (Printf.sprintf
-         "Fabric.%s: runtime fault controls are not available on a sharded \
-          router instance; compile the fault plan to static windows \
-          (router ~loss_at ~cut_at) instead"
-         what)
-
-let set_loss_override t p =
-  require_unsharded t "set_loss_override";
-  Option.iter (check_probability ~what:"loss override") p;
-  t.loss_override <- p;
-  recompute_lossless t
-
-let loss_override t = t.loss_override
-
-let partition t hosts =
-  require_unsharded t "partition";
-  List.iter
-    (fun host ->
-      let n = Option.value ~default:0 (Hashtbl.find_opt t.partitioned host) in
-      Hashtbl.replace t.partitioned host (n + 1))
-    hosts;
-  recompute_lossless t
-
-let heal t hosts =
-  require_unsharded t "heal";
-  List.iter
-    (fun host ->
-      match Hashtbl.find_opt t.partitioned host with
-      | None | Some 1 -> Hashtbl.remove t.partitioned host
-      | Some n -> Hashtbl.replace t.partitioned host (n - 1))
-    hosts;
-  recompute_lossless t
-
-let partitioned t = function
-  | Addr.Switch -> false
-  | Addr.Host h -> Hashtbl.mem t.partitioned h
 
 (* Deterministic membership in the detour set: hash the host id into
    [0,1) and compare with the configured fraction. *)
@@ -221,20 +149,20 @@ let latency_sample t src dst =
   let jitter = if t.config.jitter > 0 then Rng.int t.rng (t.config.jitter + 1) else 0 in
   base_latency t src dst + jitter
 
-(* Per-send loss probability.  An injector override wins; otherwise the
-   Gilbert-Elliott channel (when configured) steps its two-state chain
-   once per packet and picks the state's loss rate; otherwise the plain
-   i.i.d. knob. *)
-let loss_probability t =
-  match t.loss_override with
-  | Some p -> p
-  | None -> (
-    match t.config.burst with
-    | None -> t.config.loss
-    | Some { p_enter; p_exit; loss_bad } ->
-      let flip_p = if t.bad then p_exit else p_enter in
-      if flip_p > 0.0 && Rng.float t.rng < flip_p then t.bad <- not t.bad;
-      if t.bad then loss_bad else t.config.loss)
+(* The one drop decision, shared by both send paths.  A cut endpoint
+   drops without a draw (the switch is never cut: its failure is a
+   fail-over); otherwise a positive loss probability — the config's
+   base loss and the plan's loss windows, max-composed — costs exactly
+   one draw from [rng].  The evaluation order is load-bearing for the
+   reproducibility of seeded runs. *)
+type verdict = Pass | Cut | Lost of float
+
+let verdict t rng ~now ~src ~dst =
+  let cut = function Addr.Switch -> false | Addr.Host h -> Plan.cut_at t.faults now h in
+  if cut src || cut dst then Cut
+  else
+    let p = Float.max t.config.loss (Plan.loss_at t.faults now) in
+    if p > 0.0 && Rng.float rng < p then Lost p else Pass
 
 (* The delivery event.  It captures only the fabric and the envelope,
    which carries everything the delivery needs. *)
@@ -260,11 +188,12 @@ let deliver t ?int_ ~src ~dst ~now payload =
   let delay = latency_sample t src dst in
   ignore (Engine.schedule t.engine ~after:delay (arrive t env))
 
-(* Drop decisions, off the lossless fast path.  The evaluation order
-   (partition check, then the loss model's rng draws) is load-bearing
-   for reproducibility of seeded runs. *)
+(* Off the lossless fast path: the drop decision, with the single-engine
+   fabric's ambient observability of every drop. *)
 let send_lossy t ?int_ ~src ~dst ~now payload =
-  if partitioned t src || partitioned t dst then begin
+  match verdict t t.rng ~now ~src ~dst with
+  | Pass -> deliver t ?int_ ~src ~dst ~now payload
+  | Cut ->
     Option.iter Obs.Int_telemetry.drop_stack int_;
     t.partition_dropped <- t.partition_dropped + 1;
     Obs.Recorder.count "fabric.partition_dropped" 1;
@@ -275,25 +204,16 @@ let send_lossy t ?int_ ~src ~dst ~now payload =
         (lazy
           (Printf.sprintf "DROP (partition) %s -> %s" (Addr.to_string src)
              (Addr.to_string dst)))
-  end
-  else begin
-    let p = loss_probability t in
-    if p > 0.0 && Rng.float t.rng < p then begin
-      Option.iter Obs.Int_telemetry.drop_stack int_;
-      t.lost <- t.lost + 1;
-      Obs.Recorder.count "fabric.lost" 1;
-      if Obs.Recorder.active () then
-        Obs.Recorder.mark ~at:now ~track:"fabric"
-          (if t.bad then "drop: loss (burst)" else "drop: loss");
-      if Trace.enabled () then
-        Trace.emit ~at:now Trace.Fabric
-          (lazy
-            (Printf.sprintf "DROP (loss p=%.3f%s) %s -> %s" p
-               (if t.bad then ", burst" else "")
-               (Addr.to_string src) (Addr.to_string dst)))
-    end
-    else deliver t ?int_ ~src ~dst ~now payload
-  end
+  | Lost p ->
+    Option.iter Obs.Int_telemetry.drop_stack int_;
+    t.lost <- t.lost + 1;
+    Obs.Recorder.count "fabric.lost" 1;
+    if Obs.Recorder.active () then Obs.Recorder.mark ~at:now ~track:"fabric" "drop: loss";
+    if Trace.enabled () then
+      Trace.emit ~at:now Trace.Fabric
+        (lazy
+          (Printf.sprintf "DROP (loss p=%.3f) %s -> %s" p (Addr.to_string src)
+             (Addr.to_string dst)))
 
 (* -- sharded send path --------------------------------------------------- *)
 
@@ -312,50 +232,44 @@ let lp_of_addr s = function
   | Addr.Switch -> s.switch_lp
   | Addr.Host h -> s.lp_of_host.(h)
 
-(* Same decision order as the legacy [send_lossy]/[deliver] pair —
-   partition check (no draw), then the loss draw, then the jitter draw —
-   but every draw comes from the sender entity's own stream and every
-   fault check is a pure function of simulated time, so the draw
-   sequence is identical under any partitioning.  Ambient observability
-   (Recorder/Trace/INT) is skipped: it is domain-local state that helper
-   domains do not carry. *)
+(* The same drop decision as the single-engine path, then the jitter
+   draw — but every draw comes from the sender entity's own stream, so
+   the draw sequence is identical under any partitioning.  Ambient
+   observability (Recorder/Trace/INT) is skipped: it is domain-local
+   state that helper domains do not carry. *)
 let send_sharded t (s, _) ?int_ ~src ~dst payload =
   let now = Engine.now t.engine in
   let se = check_entity s src "src" in
   ignore (check_entity s dst "dst");
-  let cut = function Addr.Switch -> false | Addr.Host h -> s.win_cut now h in
-  if cut src || cut dst then t.partition_dropped <- t.partition_dropped + 1
-  else begin
-    let rng = s.eid_rng.(se) in
-    let p = Float.max t.config.loss (s.win_loss now) in
-    if p > 0.0 && Rng.float rng < p then t.lost <- t.lost + 1
-    else begin
-      let jitter = if t.config.jitter > 0 then Rng.int rng (t.config.jitter + 1) else 0 in
-      let latency = base_latency t src dst + jitter in
-      (* [base_latency] is at least one host<->switch hop for any
-         src <> dst pair, which is exactly the lookahead — the guard only
-         fires if the latency model drifts out from under the contract. *)
-      if latency < s.s_lookahead then
-        invalid_arg
-          (Printf.sprintf
-             "Fabric.send: sharded latency %d below the lookahead %d (conservative \
-              window violation)"
-             latency s.s_lookahead);
-      let seq = s.eid_seq.(se) in
-      s.eid_seq.(se) <- seq + 1;
-      let dlp = lp_of_addr s dst in
-      let env = { src; dst; sent_at = now; payload; int_ } in
-      Lp.post s.lps.(dlp) ~at:(now + latency) ~src:se ~seq (fun () ->
-          match s.instances.(dlp) with
-          | None -> assert false (* filled before the router is returned *)
-          | Some inst -> (
-            match handler_of inst dst with
-            | Some handler ->
-              inst.delivered <- inst.delivered + 1;
-              handler env
-            | None -> inst.undeliverable <- inst.undeliverable + 1))
-    end
-  end
+  let rng = s.eid_rng.(se) in
+  match if t.lossless then Pass else verdict t rng ~now ~src ~dst with
+  | Cut -> t.partition_dropped <- t.partition_dropped + 1
+  | Lost _ -> t.lost <- t.lost + 1
+  | Pass ->
+    let jitter = if t.config.jitter > 0 then Rng.int rng (t.config.jitter + 1) else 0 in
+    let latency = base_latency t src dst + jitter in
+    (* [base_latency] is at least one host<->switch hop for any
+       src <> dst pair, which is exactly the lookahead — the guard only
+       fires if the latency model drifts out from under the contract. *)
+    if latency < s.s_lookahead then
+      invalid_arg
+        (Printf.sprintf
+           "Fabric.send: sharded latency %d below the lookahead %d (conservative \
+            window violation)"
+           latency s.s_lookahead);
+    let seq = s.eid_seq.(se) in
+    s.eid_seq.(se) <- seq + 1;
+    let dlp = lp_of_addr s dst in
+    let env = { src; dst; sent_at = now; payload; int_ } in
+    Lp.post s.lps.(dlp) ~at:(now + latency) ~src:se ~seq (fun () ->
+        match s.instances.(dlp) with
+        | None -> assert false (* filled before the router is returned *)
+        | Some inst -> (
+          match handler_of inst dst with
+          | Some handler ->
+            inst.delivered <- inst.delivered + 1;
+            handler env
+          | None -> inst.undeliverable <- inst.undeliverable + 1))
 
 let send t ?int_ ~src ~dst payload =
   if Addr.equal src dst then invalid_arg "Fabric.send: src = dst";
@@ -370,7 +284,6 @@ let send t ?int_ ~src ~dst payload =
     if t.lossless then deliver t ?int_ ~src ~dst ~now payload
     else send_lossy t ?int_ ~src ~dst ~now payload
 
-let in_burst t = t.bad
 let delivered t = t.delivered
 let lost t = t.lost
 let partition_dropped t = t.partition_dropped
@@ -419,19 +332,10 @@ let mix seed eid =
   h := (!h lxor (!h lsr 27)) * 0x94D049BB133111E;
   (!h lxor (!h lsr 31)) land max_int
 
-let router ?(config = default_config) ?(loss_at = fun _ -> 0.0)
-    ?(cut_at = fun _ _ -> false) ~lps ~switch_lp ~lp_of_host ~hosts ~seed () =
+let router ?(config = default_config) ?(faults = Plan.empty) ~lps ~switch_lp
+    ~lp_of_host ~hosts ~seed () =
   let la = lookahead config in
-  if config.burst <> None then
-    invalid_arg
-      "Fabric.router: burst loss steps a fabric-global channel per packet and \
-       cannot be sharded deterministically; compile it to static loss windows \
-       (loss_at) instead";
-  check_probability ~what:"loss" config.loss;
-  check_probability ~what:"detour_fraction" config.detour_fraction;
-  if config.jitter < 0 then invalid_arg "Fabric.router: jitter must be non-negative";
-  if config.detour_extra < 0 then
-    invalid_arg "Fabric.router: detour_extra must be non-negative";
+  check_config config;
   let n = Array.length lps in
   if n = 0 then invalid_arg "Fabric.router: no LPs";
   if switch_lp < 0 || switch_lp >= n then
@@ -452,30 +356,13 @@ let router ?(config = default_config) ?(loss_at = fun _ -> 0.0)
       lp_of_host = map;
       eid_rng = Array.init (hosts + 1) (fun e -> Rng.create ~seed:(mix seed e));
       eid_seq = Array.make (hosts + 1) 0;
-      win_loss = loss_at;
-      win_cut = cut_at;
       instances = Array.make n None;
     }
   in
   Array.mapi
     (fun i lp ->
       let inst =
-        {
-          engine = Lp.engine lp;
-          rng = Lp.rng lp;
-          config;
-          shard = Some (s, i);
-          host_handlers = Array.make (max 64 hosts) None;
-          switch_handler = None;
-          bad = false;
-          loss_override = None;
-          partitioned = Hashtbl.create 1;
-          lossless = true;
-          delivered = 0;
-          lost = 0;
-          partition_dropped = 0;
-          undeliverable = 0;
-        }
+        instance ~config ~faults ~shard:(Some (s, i)) ~hosts (Lp.engine lp) (Lp.rng lp)
       in
       s.instances.(i) <- Some inst;
       inst)

@@ -6,17 +6,18 @@
     jitter).  Host-to-host traffic transits the switch, so its latency
     is twice the host-to-switch latency.
 
-    The fabric is reliable by default; three fault knobs inject loss:
-    - [loss]: i.i.d. per-packet drop probability;
-    - [burst]: a Gilbert-Elliott two-state channel that alternates
-      between a good state (drops at [loss]) and a bad state (drops at
-      [loss_bad]), stepping the chain once per packet — correlated loss
-      bursts rather than independent drops;
-    - {!partition} / {!set_loss_override}: runtime controls used by the
-      fault injector for timed partition and loss-burst windows.
+    The fabric is reliable by default.  Two inputs, both fixed when the
+    fabric is built, make it drop packets, through one drop decision:
+    - [config.loss]: i.i.d. per-packet drop probability;
+    - the [faults] plan's windows ({!Plan.loss_at}, {!Plan.cut_at}): a
+      packet to or from a host inside an open partition is dropped
+      without a draw; otherwise the config's loss and the open loss
+      bursts compose by max, and a positive probability costs one draw.
+    A fabric with no loss and no windows skips the decision entirely.
 
-    All randomness comes from the [rng] supplied at creation, keeping
-    runs deterministic.  Every drop path emits a {!Draconis_sim.Trace}
+    All randomness comes from the [rng] supplied at creation (a sharded
+    router: per-entity streams), keeping runs deterministic.  Every drop
+    path of the single-engine fabric emits a {!Draconis_sim.Trace}
     record, so [Trace.recent] shows fault activity. *)
 
 open Draconis_sim
@@ -34,16 +35,10 @@ type 'msg envelope = {
 
 type 'msg t
 
-(** Gilbert-Elliott channel parameters: per-packet transition
-    probabilities between the good and bad state, and the bad-state
-    loss rate (the good state drops at the base [loss]). *)
-type burst = { p_enter : float; p_exit : float; loss_bad : float }
-
 type config = {
   host_to_switch : Time.t;  (** one-way host <-> switch latency *)
   jitter : Time.t;  (** uniform extra delay in [\[0, jitter\]] *)
-  loss : float;  (** i.i.d. drop probability in [\[0, 1\]] (good state) *)
-  burst : burst option;  (** Gilbert-Elliott burst loss; [None] = i.i.d. only *)
+  loss : float;  (** i.i.d. drop probability in [\[0, 1\]] *)
   detour_fraction : float;
       (** multi-rack deployments (paper §3.2) route scheduler traffic
           through a common ancestor switch, lengthening the path for a
@@ -53,7 +48,7 @@ type config = {
 }
 
 (** Calibrated default: 1.5 us one-way, 150 ns jitter, no loss, no
-    bursts, no detours (single-rack deployment). *)
+    detours (single-rack deployment). *)
 val default_config : config
 
 (** [detoured t host] is true when the host's scheduler path takes the
@@ -69,10 +64,12 @@ val detoured : 'msg t -> int -> bool
     ([host_to_switch = 0]), which admits no conservative window. *)
 val lookahead : config -> Time.t
 
-(** @raise Invalid_argument if any probability ([loss], [detour_fraction],
-    burst parameters) is outside [\[0,1\]], or any latency
+(** [create ?config ?faults engine rng] — [faults] (default
+    {!Plan.empty}) supplies the loss and partition windows.
+    @raise Invalid_argument if any probability ([loss],
+    [detour_fraction]) is outside [\[0,1\]], or any latency
     ([host_to_switch], [jitter], [detour_extra]) is negative. *)
-val create : ?config:config -> Engine.t -> Rng.t -> 'msg t
+val create : ?config:config -> ?faults:Plan.t -> Engine.t -> Rng.t -> 'msg t
 
 val engine : 'msg t -> Engine.t
 
@@ -96,42 +93,15 @@ val send :
 (** One-way latency sample between two endpoints (includes jitter). *)
 val latency_sample : 'msg t -> Addr.t -> Addr.t -> Time.t
 
-(** {2 Runtime fault controls} — used by the fault injector
-    ({!Draconis_fault.Injector}) for timed fault windows. *)
-
-(** [set_loss_override t (Some p)] makes every packet drop with
-    probability [p], replacing the configured loss model until
-    [set_loss_override t None].
-    @raise Invalid_argument if [p] is outside [\[0,1\]]. *)
-val set_loss_override : 'msg t -> float option -> unit
-
-val loss_override : 'msg t -> float option
-
-(** [partition t hosts] cuts the listed hosts off: every packet to or
-    from them is dropped (and counted) until healed.  Partitions are
-    refcounted, so overlapping windows compose; {!heal} undoes one
-    [partition] of each listed host. *)
-val partition : 'msg t -> int list -> unit
-
-val heal : 'msg t -> int list -> unit
-
-(** [partitioned t addr] — is this endpoint currently cut off?  The
-    switch itself is never partitioned (its failure is modeled by
-    fail-over instead). *)
-val partitioned : 'msg t -> Addr.t -> bool
-
-(** True while the Gilbert-Elliott channel is in the bad state. *)
-val in_burst : 'msg t -> bool
-
 (** {2 Counters} *)
 
 (** Messages delivered so far. *)
 val delivered : 'msg t -> int
 
-(** Messages lost to injected loss (i.i.d., burst, or override). *)
+(** Messages lost to loss ([config.loss] or a loss window). *)
 val lost : 'msg t -> int
 
-(** Messages dropped because an endpoint was partitioned. *)
+(** Messages dropped because an endpoint was inside a partition window. *)
 val partition_dropped : 'msg t -> int
 
 (** Messages dropped for lack of a registered handler. *)
@@ -180,31 +150,24 @@ end
     stamped into the destination LP's inbox ({!Draconis_sim.Lp.post})
     with [(arrival, entity id, seq)].  Latency jitter and loss are drawn
     from the {e sender entity}'s private stream (seeded from
-    [(seed, entity)]), and faults are static time windows, so the
-    outcome of a sharded run is independent of both the partitioning and
-    the domain schedule.  Entity ids: the switch is 0, host [h] is
-    [h + 1].
+    [(seed, entity)]), and the fault windows are pure functions of
+    simulated time, so the outcome of a sharded run is independent of
+    both the partitioning and the domain schedule.  Entity ids: the
+    switch is 0, host [h] is [h + 1].
 
-    Restrictions compared to the classic fabric: [config.burst] is
-    rejected (the Gilbert-Elliott chain steps fabric-global state per
-    packet), and the runtime fault controls ({!set_loss_override},
-    {!partition}, {!heal}) raise — fault plans must compile to
-    [loss_at]/[cut_at] windows.  Ambient observability (Recorder, Trace,
-    INT stamp draining) is skipped on the sharded path: it lives in
-    domain-local storage that helper domains do not carry. *)
+    Ambient observability (Recorder, Trace, INT stamp draining) is
+    skipped on the sharded path: it lives in domain-local storage that
+    helper domains do not carry. *)
 
 (** [router ~lps ~switch_lp ~lp_of_host ~hosts ~seed ()] returns one
     instance per LP (same index as [lps]).  [lp_of_host] maps each host
     id in [\[0, hosts)] to its LP index; the switch lives on
-    [switch_lp].  [loss_at now] is an extra i.i.d. drop probability
-    (composed with [config.loss] by max) and [cut_at now host] cuts a
-    host off — both must be pure functions of their arguments.
+    [switch_lp].  [faults] is read exactly as by {!create}.
     @raise Invalid_argument on an empty [lps], out-of-range LP indexes,
-    a [burst] config, or any invalid latency/probability parameter. *)
+    or any invalid latency/probability parameter. *)
 val router :
   ?config:config ->
-  ?loss_at:(Time.t -> float) ->
-  ?cut_at:(Time.t -> int -> bool) ->
+  ?faults:Plan.t ->
   lps:Draconis_sim.Lp.t array ->
   switch_lp:int ->
   lp_of_host:(int -> int) ->

@@ -273,23 +273,17 @@ let cluster_request_log ~shards =
      and only its watchdogs bring it back.  The window edges avoid the
      instants executors send at. *)
   let cut_from = Time.us 1_000 + 37 and cut_to = Time.us 1_300 + 37 in
-  let config =
-    match shards with
-    | None -> config
-    | Some _ ->
-      {
-        config with
-        static_faults =
-          { Cluster.no_faults with cut_windows = [| (cut_from, cut_to, [ 0 ]) |] };
-      }
+  let faults =
+    Plan.create
+      [
+        {
+          Plan.at = cut_from;
+          event = Plan.Partition { hosts = [ 0 ]; duration = cut_to - cut_from };
+        };
+      ]
   in
-  let cluster = Cluster.create config in
+  let cluster = Cluster.create { config with faults } in
   let engine = Cluster.engine cluster in
-  if shards = None then begin
-    let fabric = Cluster.fabric cluster in
-    ignore (Engine.schedule_at engine ~at:cut_from (fun () -> Fabric.partition fabric [ 0 ]));
-    ignore (Engine.schedule_at engine ~at:cut_to (fun () -> Fabric.heal fabric [ 0 ]))
-  end;
   let log = ref [] in
   let program = Switch_program.program (Cluster.program cluster) in
   Draconis_p4.Pipeline.set_program (Cluster.pipeline cluster) (fun ctx pkt ->

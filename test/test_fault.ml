@@ -1,14 +1,15 @@
-(* Fault-plan subsystem tests: plan parsing/validation, fabric fault
-   knobs (Gilbert-Elliott bursts, partitions, config validation),
-   executor crash/restart and straggler injection, the client
-   resubmission cap, and end-to-end determinism of injected runs. *)
+(* Fault-plan tests: plan parsing/validation, the plan's windows in the
+   fabric (loss, partitions, config validation), crash/restart and
+   straggler edges armed at construction, plan validation against the
+   system, the client resubmission cap, and end-to-end determinism of
+   faulted runs. *)
 
 open Draconis_sim
 open Draconis_net
 open Draconis_proto
 open Draconis
-open Draconis_fault
 module B = Draconis_baselines
+module Recovery = Draconis_harness.Recovery
 
 let busy_task ~us n =
   Task.make ~uid:0 ~jid:0 ~tid:n ~fn_id:Task.Fn.busy_loop ~fn_par:(Time.us us) ()
@@ -48,6 +49,31 @@ let test_plan_round_trip () =
   Alcotest.(check int) "same event count" (List.length (Plan.events plan))
     (List.length (Plan.events reparsed))
 
+(* The fired-fault log of this plan on a 10-worker cluster whose
+   fail-over loses 198 queued tasks: starts before ends at one instant,
+   each group in plan order. *)
+let test_plan_timeline () =
+  let plan =
+    Plan.of_string
+      "failover@3ms;burst@1ms:dur=500us,loss=0.5;partition@2ms:hosts=0+1,dur=1ms;\
+       crash@2ms:node=3,down=1ms;straggler@1ms:node=2,factor=4,dur=2ms"
+  in
+  Alcotest.(check (list (pair int string))) "firing order and descriptions"
+    [
+      (Time.ms 1, "loss burst start (p=0.500)");
+      (Time.ms 1, "straggler node 2 (x4.0)");
+      (Time.us 1500, "loss burst end (p=0.500)");
+      (Time.ms 2, "partition hosts 0+1");
+      (Time.ms 2, "crash node 3 (down 1000 us)");
+      (Time.ms 3, "failover (198 queued lost)");
+      (Time.ms 3, "straggler node 2 recovered");
+      (Time.ms 3, "heal hosts 0+1");
+      (Time.ms 3, "restart node 3");
+    ]
+    (Plan.timeline plan ~failovers:[ (Time.ms 3, 198) ] ~until:(Time.ms 5));
+  Alcotest.(check int) "edges after [until] have not fired" 5
+    (List.length (Plan.timeline plan ~failovers:[] ~until:(Time.ms 2)))
+
 let check_invalid what f =
   match f () with
   | exception Invalid_argument _ -> ()
@@ -85,61 +111,32 @@ let test_fabric_config_validation () =
   check_invalid "negative jitter" (fun () -> try_config { base with jitter = -5 });
   check_invalid "detour_fraction > 1" (fun () ->
       try_config { base with detour_fraction = 2.0 });
-  check_invalid "burst p_enter > 1" (fun () ->
-      try_config
-        { base with burst = Some { p_enter = 1.5; p_exit = 0.5; loss_bad = 0.5 } });
-  check_invalid "burst loss_bad < 0" (fun () ->
-      try_config
-        { base with burst = Some { p_enter = 0.5; p_exit = 0.5; loss_bad = -0.5 } });
   (* A valid config still creates. *)
-  try_config
-    { base with loss = 0.1; burst = Some { p_enter = 0.1; p_exit = 0.5; loss_bad = 0.9 } }
+  try_config { base with loss = 0.1 }
 
-(* -- Gilbert-Elliott bursts ------------------------------------------------- *)
-
-let burst_fabric ~seed =
+(* A fabric under [plan] with a sink at host 1, and a send from host 0
+   at each of [times]; [run] returns the deliveries. *)
+let windowed_fabric plan times =
   let engine = Engine.create () in
-  let config =
-    {
-      Fabric.default_config with
-      burst = Some { p_enter = 0.2; p_exit = 0.3; loss_bad = 1.0 };
-    }
-  in
-  let fabric = Fabric.create ~config engine (Rng.create ~seed) in
-  Fabric.register fabric (Addr.Host 1) (fun _ -> ());
-  for i = 0 to 499 do
-    ignore
-      (Engine.schedule engine ~after:(Time.us i) (fun () ->
-           Fabric.send fabric ~src:(Addr.Host 0) ~dst:(Addr.Host 1) ()))
-  done;
-  Engine.run engine;
-  fabric
-
-let test_burst_losses_and_determinism () =
-  let a = burst_fabric ~seed:7 in
-  Alcotest.(check bool) "bursts drop some packets" true (Fabric.lost a > 0);
-  Alcotest.(check bool) "good state delivers some packets" true
-    (Fabric.delivered a > 0);
-  Alcotest.(check int) "all packets accounted" 500
-    (Fabric.delivered a + Fabric.lost a);
-  let b = burst_fabric ~seed:7 in
-  Alcotest.(check int) "same seed, same losses" (Fabric.lost a) (Fabric.lost b);
-  let c = burst_fabric ~seed:8 in
-  Alcotest.(check bool) "different seed, different channel walk" true
-    (Fabric.lost a <> Fabric.lost c || Fabric.delivered a <> Fabric.delivered c)
+  let fabric = Fabric.create ~faults:(Plan.of_string plan) engine (Rng.create ~seed:1) in
+  let delivered = ref 0 in
+  Fabric.register fabric (Addr.Host 1) (fun _ -> incr delivered);
+  List.iter
+    (fun (at, dst) ->
+      ignore
+        (Engine.schedule_at engine ~at (fun () ->
+             Fabric.send fabric ~src:(Addr.Host 0) ~dst ())))
+    times;
+  (fabric, fun () -> Engine.run engine; !delivered)
 
 let test_drops_are_traced () =
   let (), records =
     Trace.with_capture (fun () ->
-        let engine = Engine.create () in
-        let fabric = Fabric.create engine (Rng.create ~seed:1) in
-        Fabric.register fabric (Addr.Host 1) (fun _ -> ());
-        Fabric.set_loss_override fabric (Some 1.0);
-        Fabric.send fabric ~src:(Addr.Host 0) ~dst:(Addr.Host 1) ();
-        Fabric.set_loss_override fabric None;
-        Fabric.partition fabric [ 1 ];
-        Fabric.send fabric ~src:(Addr.Host 0) ~dst:(Addr.Host 1) ();
-        Engine.run engine)
+        let _, run =
+          windowed_fabric "burst@0ns:dur=1us,loss=1;partition@10us:hosts=1,dur=10us"
+            [ (0, Addr.Host 1); (Time.us 15, Addr.Host 1) ]
+        in
+        ignore (run ()))
   in
   let drops =
     List.filter
@@ -157,28 +154,16 @@ let test_drops_are_traced () =
 (* -- Partitions ------------------------------------------------------------- *)
 
 let test_partition_and_heal () =
-  let engine = Engine.create () in
-  let fabric = Fabric.create engine (Rng.create ~seed:1) in
-  let delivered = ref 0 in
-  Fabric.register fabric (Addr.Host 1) (fun _ -> incr delivered);
-  Fabric.partition fabric [ 1 ];
-  Fabric.partition fabric [ 1 ];
-  Alcotest.(check bool) "partitioned" true (Fabric.partitioned fabric (Addr.Host 1));
-  Fabric.send fabric ~src:(Addr.Host 0) ~dst:(Addr.Host 1) ();
-  Engine.run engine;
-  Alcotest.(check int) "dropped while partitioned" 0 !delivered;
-  Alcotest.(check int) "counted as partition drop" 1 (Fabric.partition_dropped fabric);
-  (* Refcounted: one heal is not enough after two partitions. *)
-  Fabric.heal fabric [ 1 ];
-  Alcotest.(check bool) "still partitioned after one heal" true
-    (Fabric.partitioned fabric (Addr.Host 1));
-  Fabric.heal fabric [ 1 ];
-  Alcotest.(check bool) "healed" false (Fabric.partitioned fabric (Addr.Host 1));
-  Fabric.send fabric ~src:(Addr.Host 0) ~dst:(Addr.Host 1) ();
-  Engine.run engine;
-  Alcotest.(check int) "delivers after heal" 1 !delivered;
-  Alcotest.(check bool) "switch never partitioned" false
-    (Fabric.partitioned fabric Addr.Switch)
+  (* Two overlapping windows on host 1: it stays cut until the later one
+     closes, then delivers again. *)
+  let fabric, run =
+    windowed_fabric "partition@10us:hosts=1,dur=20us;partition@20us:hosts=1,dur=20us"
+      [ (Time.us 15, Addr.Host 1); (Time.us 35, Addr.Host 1); (Time.us 45, Addr.Host 1) ]
+  in
+  Alcotest.(check int) "delivers once the windows close" 1 (run ());
+  Alcotest.(check int) "drops counted as partition drops" 2
+    (Fabric.partition_dropped fabric);
+  Alcotest.(check int) "no loss draws" 0 (Fabric.lost fabric)
 
 (* -- Straggler slowdown ------------------------------------------------------ *)
 
@@ -193,9 +178,9 @@ let test_cpu_slowdown () =
     !done_at;
   check_invalid "slowdown below 1" (fun () -> Cpu.set_slowdown cpu 0.5)
 
-(* -- Crash / restart through the injector ------------------------------------ *)
+(* -- Crash / restart and straggler edges -------------------------------------- *)
 
-let faulted_cluster () =
+let faulted_cluster ?(faults = "") () =
   Cluster.create
     {
       Cluster.default_config with
@@ -203,14 +188,17 @@ let faulted_cluster () =
       executors_per_worker = 2;
       clients = 1;
       client_timeout = Some (Time.ms 1);
+      faults = Plan.of_string faults;
     }
 
+let fired cluster faults =
+  Plan.timeline (Plan.of_string faults) ~failovers:(Cluster.failovers cluster)
+    ~until:(Engine.now (Cluster.engine cluster))
+
 let test_crash_restart_recovery () =
-  let cluster = faulted_cluster () in
+  let faults = "crash@300us:node=0,down=1ms" in
+  let cluster = faulted_cluster ~faults () in
   Cluster.start cluster;
-  let target = Target.of_cluster cluster in
-  let plan = Plan.of_string "crash@300us:node=0,down=1ms" in
-  let injector = Injector.arm plan target in
   let (drained, m), records =
     Trace.with_capture (fun () ->
         ignore
@@ -224,8 +212,9 @@ let test_crash_restart_recovery () =
   Alcotest.(check int) "every task completed" 8 (Metrics.completed m);
   Alcotest.(check bool) "crash lost work was recovered by timeouts" true
     (Metrics.resubmitted m > 0);
-  Alcotest.(check int) "crash and restart both fired" 2
-    (List.length (Injector.fired injector));
+  Alcotest.(check (list (pair int string))) "crash and restart both fired"
+    [ (Time.us 300, "crash node 0 (down 1000 us)"); (Time.us 1300, "restart node 0") ]
+    (fired cluster faults);
   let has affix =
     List.exists (fun r -> Astring.String.is_infix ~affix r.Trace.message) records
   in
@@ -233,60 +222,88 @@ let test_crash_restart_recovery () =
   Alcotest.(check bool) "executor restart traced" true (has "RESTART")
 
 let test_straggler_window () =
-  let cluster = faulted_cluster () in
-  Cluster.start cluster;
-  let target = Target.of_cluster cluster in
-  let injector =
-    Injector.arm (Plan.of_string "straggler@100us:node=0,factor=8,dur=1ms") target
+  let cluster =
+    faulted_cluster ~faults:"straggler@100us:node=0,factor=8,dur=1ms" ()
   in
+  Cluster.start cluster;
+  let factor node = Executor.slowdown (Worker.executor (Cluster.worker cluster node) 0) in
   ignore (Client.submit_job (Cluster.client cluster 0) (List.init 8 (busy_task ~us:200)));
   Cluster.run cluster ~until:(Time.us 500);
   (* Mid-window: node 0 executors are degraded, node 1 untouched. *)
-  Alcotest.(check bool) "fired the degradation" true
-    (List.length (Injector.fired injector) = 1);
+  Alcotest.(check (float 0.0)) "node 0 degraded" 8.0 (factor 0);
+  Alcotest.(check (float 0.0)) "node 1 untouched" 1.0 (factor 1);
   Cluster.run cluster ~until:(Time.ms 2);
-  Alcotest.(check int) "degradation window closed" 2
-    (List.length (Injector.fired injector));
+  Alcotest.(check (float 0.0)) "degradation window closed" 1.0 (factor 0);
   let drained = Cluster.run_until_drained cluster ~deadline:(Time.s 2) in
   Alcotest.(check bool) "drained despite the straggler" true drained;
   Alcotest.(check int) "all completed" 8 (Metrics.completed (Cluster.metrics cluster))
 
+(* A plan the system cannot honour fails at construction, naming what. *)
 let test_arm_rejects_unsupported () =
-  let r2p2 =
+  let r2p2 faults =
     B.R2p2.create
-      { B.R2p2.default_config with workers = 2; executors_per_worker = 2; clients = 1 }
+      {
+        B.R2p2.default_config with
+        workers = 2;
+        executors_per_worker = 2;
+        clients = 1;
+        faults = Plan.of_string faults;
+      }
   in
-  let target = Target.of_r2p2 r2p2 in
-  check_invalid "crash against push executors" (fun () ->
-      Injector.arm (Plan.of_string "crash@1ms:node=0") target);
+  check_invalid "crash against push executors" (fun () -> r2p2 "crash@1ms:node=0");
   check_invalid "straggler against push executors" (fun () ->
-      Injector.arm (Plan.of_string "straggler@1ms:node=0,factor=2,dur=1ms") target);
+      r2p2 "straggler@1ms:node=0,factor=2,dur=1ms");
   (* Fabric-level faults arm fine. *)
-  ignore (Injector.arm (Plan.of_string "failover@1ms;burst@1ms:dur=1ms,loss=0.5") target)
+  ignore (r2p2 "failover@1ms;burst@1ms:dur=1ms,loss=0.5");
+  (* Hosts and nodes are checked against the deployment: 2 workers and
+     1 client (plus the server host for a central server). *)
+  let rejects what faults f =
+    match f faults with
+    | _ -> Alcotest.failf "%s: %s accepted" what faults
+    | exception Invalid_argument msg ->
+      Alcotest.(check bool) (what ^ " names the id") true
+        (Astring.String.is_infix ~affix:"outside [0, " msg)
+  in
+  let cluster faults = ignore (faulted_cluster ~faults ()) in
+  let server faults =
+    ignore
+      (B.Central_server.create
+         {
+           B.Central_server.default_config with
+           workers = 2;
+           executors_per_worker = 2;
+           clients = 1;
+           faults = Plan.of_string faults;
+         })
+  in
+  rejects "cluster host" "partition@1ms:hosts=3,dur=1ms" cluster;
+  rejects "cluster crash node" "crash@1ms:node=2" cluster;
+  rejects "cluster straggler node" "straggler@1ms:node=2,factor=2,dur=1ms" cluster;
+  rejects "server host" "partition@1ms:hosts=4,dur=1ms" server;
+  rejects "server node" "crash@1ms:node=2,down=1ms" server;
+  cluster "partition@1ms:hosts=2,dur=1ms;crash@1ms:node=1";
+  server "partition@1ms:hosts=3,dur=1ms"
 
-(* -- Overlapping burst windows compose by max -------------------------------- *)
+(* -- Overlapping windows compose by max --------------------------------------- *)
 
 let test_burst_overlap_max () =
-  let cluster = faulted_cluster () in
-  let fabric = Cluster.fabric cluster in
-  let target = Target.of_cluster cluster in
-  ignore
-    (Injector.arm
-       (Plan.of_string "burst@0ns:dur=2ms,loss=0.5;burst@1ms:dur=2ms,loss=0.9")
-       target);
-  let engine = Cluster.engine cluster in
-  Engine.run engine ~until:(Time.us 500);
-  Alcotest.(check (option (float 0.0))) "first window alone" (Some 0.5)
-    (Fabric.loss_override fabric);
-  Engine.run engine ~until:(Time.us 1500);
-  Alcotest.(check (option (float 0.0))) "overlap takes the max" (Some 0.9)
-    (Fabric.loss_override fabric);
-  Engine.run engine ~until:(Time.us 2500);
-  Alcotest.(check (option (float 0.0))) "survivor wins after first ends" (Some 0.9)
-    (Fabric.loss_override fabric);
-  Engine.run engine ~until:(Time.us 3500);
-  Alcotest.(check (option (float 0.0))) "cleared after both end" None
-    (Fabric.loss_override fabric)
+  let plan =
+    Plan.of_string
+      "burst@0ns:dur=2ms,loss=0.9;burst@1ms:dur=2ms,loss=0.5;\
+       straggler@0ns:node=1,factor=4,dur=2ms;straggler@1ms:node=1,factor=2,dur=2ms"
+  in
+  let at us = Time.us us in
+  Alcotest.(check (list (float 0.0))) "loss: first alone, max of the overlap, survivor, none"
+    [ 0.9; 0.9; 0.5; 0.0 ]
+    (List.map (fun us -> Plan.loss_at plan (at us)) [ 500; 1500; 2500; 3500 ]);
+  Alcotest.(check (list (float 0.0))) "straggler factor likewise"
+    [ 4.0; 4.0; 2.0; 1.0 ]
+    (List.map (fun us -> Plan.slow_at plan ~node:1 (at us)) [ 500; 1500; 2500; 3500 ]);
+  Alcotest.(check (float 0.0)) "other nodes untouched" 1.0
+    (Plan.slow_at plan ~node:0 (at 1500));
+  Alcotest.(check (list (float 0.0))) "windows are half-open"
+    [ 0.9; 0.5; 0.0 ]
+    (List.map (fun us -> Plan.loss_at plan (at us)) [ 0; 2000; 3000 ])
 
 (* -- Client resubmission cap (satellite) ------------------------------------- *)
 
@@ -308,20 +325,19 @@ let test_resubmission_cap () =
 
 (* -- Fail-over recovery bounded by the client timeout ------------------------- *)
 
+let measure cluster ~until =
+  Recovery.measure ~system:"draconis" ~metrics:(Cluster.metrics cluster)
+    ~failovers:(Cluster.failovers cluster) ~until ()
+
 let failover_run () =
-  let cluster = faulted_cluster () in
+  let cluster = faulted_cluster ~faults:"failover@500us" () in
   Cluster.start cluster;
-  let target = Target.of_cluster cluster in
-  let injector = Injector.arm (Plan.of_string "failover@500us") target in
   (* 20 x 200us on 4 executors: a deep backlog is queued when the switch
      dies at 500us. *)
   ignore (Client.submit_job (Cluster.client cluster 0) (List.init 20 (busy_task ~us:200)));
   Cluster.run cluster ~until:(Time.ms 2);
   let drained = Cluster.run_until_drained cluster ~deadline:(Time.s 2) in
-  let report =
-    Recovery.measure ~metrics:(Cluster.metrics cluster) ~injector ~until:(Time.ms 2) ()
-  in
-  (drained, report)
+  (drained, measure cluster ~until:(Time.ms 2))
 
 let test_failover_recovery_bounded () =
   let drained, report = failover_run () in
@@ -343,15 +359,11 @@ let test_failover_recovery_bounded () =
 (* -- Determinism -------------------------------------------------------------- *)
 
 let deterministic_scenario () =
-  let cluster = faulted_cluster () in
-  Cluster.start cluster;
-  let target = Target.of_cluster cluster in
-  let injector =
-    Injector.arm
-      (Plan.of_string
-         "burst@200us:dur=300us,loss=0.6;failover@500us;crash@700us:node=1,down=500us")
-      target
+  let faults =
+    "burst@200us:dur=300us,loss=0.6;failover@500us;crash@700us:node=1,down=500us"
   in
+  let cluster = faulted_cluster ~faults () in
+  Cluster.start cluster;
   let engine = Cluster.engine cluster in
   for i = 0 to 29 do
     ignore
@@ -360,8 +372,7 @@ let deterministic_scenario () =
   done;
   Cluster.run cluster ~until:(Time.ms 3);
   ignore (Cluster.run_until_drained cluster ~deadline:(Time.s 2));
-  ( Recovery.measure ~metrics:(Cluster.metrics cluster) ~injector ~until:(Time.ms 3) (),
-    Injector.fired injector )
+  (measure cluster ~until:(Time.ms 3), fired cluster faults)
 
 let test_fault_determinism () =
   let report_a, fired_a = deterministic_scenario () in
@@ -390,7 +401,9 @@ let test_central_server_failover () =
     (B.Central_server.queue_length server);
   Alcotest.(check int) "fail-over reports the losses" 7
     (B.Central_server.fail_over_server server);
-  Alcotest.(check int) "standby starts empty" 0 (B.Central_server.queue_length server)
+  Alcotest.(check int) "standby starts empty" 0 (B.Central_server.queue_length server);
+  Alcotest.(check (list (pair int int))) "fail-over recorded" [ (Time.ms 1, 7) ]
+    (B.Central_server.failovers server)
 
 let test_r2p2_failover_resets_registers () =
   let r2p2 =
@@ -415,9 +428,8 @@ let suite =
     Alcotest.test_case "plan: parse and sort" `Quick test_plan_parse;
     Alcotest.test_case "plan: string round-trip" `Quick test_plan_round_trip;
     Alcotest.test_case "plan: validation" `Quick test_plan_validation;
+    Alcotest.test_case "plan: timeline in firing order" `Quick test_plan_timeline;
     Alcotest.test_case "fabric: config validation" `Quick test_fabric_config_validation;
-    Alcotest.test_case "fabric: GE bursts deterministic" `Quick
-      test_burst_losses_and_determinism;
     Alcotest.test_case "fabric: drops are traced" `Quick test_drops_are_traced;
     Alcotest.test_case "fabric: partition and heal" `Quick test_partition_and_heal;
     Alcotest.test_case "cpu: straggler slowdown" `Quick test_cpu_slowdown;

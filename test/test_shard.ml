@@ -288,11 +288,9 @@ let test_workers_equality () =
    task is accounted for as completed or abandoned. *)
 let test_fault_plan_equality () =
   let faults =
-    {
-      Draconis.Cluster.slow_windows = [| (Time.us 500, Time.us 8500, 1, 4.0) |];
-      cut_windows = [| (Time.ms 1, Time.ms 5, [ 0; 5 ]) |];
-      loss_windows = [| (Time.ms 2, Time.ms 5, 0.5) |];
-    }
+    Draconis_net.Plan.of_string
+      "straggler@500us:node=1,factor=4,dur=8ms;partition@1ms:hosts=0+5,dur=4ms;\
+       burst@2ms:dur=3ms,loss=0.5"
   in
   let r =
     C.check_equal_across_lps (fun shards ->

@@ -1,13 +1,14 @@
 (* The sharded Draconis cluster: outcome equality across shard counts
    (the determinism contract — partitioning the data path over logical
    processes must not change a single metric, barrier window or
-   message), window-team neutrality, static fault windows,
+   message), window-team neutrality, fault plans of every kind,
    and the fail-loud guards.  [shards = Some 1] is the sequential
    reference every other shard count must reproduce. *)
 
 open Draconis_sim
 open Draconis_workload
 module H = Draconis_harness
+module Plan = Draconis_net.Plan
 
 let spec = { H.Systems.workers = 4; executors_per_worker = 4; clients = 2; seed = 7 }
 let kind = Synthetic.Fixed_100us
@@ -25,6 +26,7 @@ type run = {
   posted : int;  (** messages routed through LP mailboxes *)
   dropped : int;  (** messages eaten by fault windows *)
   abandoned : int;
+  recovery : H.Recovery.report;
 }
 
 let run_cluster ?(kind = kind) ?(rate_tps = rate_tps) ?faults ?client_timeout
@@ -45,6 +47,9 @@ let run_cluster ?(kind = kind) ?(rate_tps = rate_tps) ?faults ?client_timeout
     posted = Array.fold_left (fun acc lp -> acc + Lp.posted lp) 0 (Sync.lps sync);
     dropped = Draconis.Cluster.dropped cluster;
     abandoned = Draconis.Metrics.abandoned (Draconis.Cluster.metrics cluster);
+    recovery =
+      H.Recovery.measure ~system:system.name ~metrics:system.metrics
+        ~failovers:(system.failovers ()) ~until:horizon ();
   }
 
 (* [events_per_sec], the one wall-clock field, is left 0 by the runner,
@@ -57,6 +62,9 @@ let check_equal_across_lps run =
       if r.outcome <> reference.outcome then
         Alcotest.failf "outcome with %d LPs diverges: %a vs %a" r.shards
           H.Runner.pp_outcome r.outcome H.Runner.pp_outcome reference.outcome;
+      if r.recovery <> reference.recovery then
+        Alcotest.failf "recovery report with %d LPs diverges: %a vs %a" r.shards
+          H.Recovery.pp r.recovery H.Recovery.pp reference.recovery;
       Alcotest.(check int) "windows" reference.windows r.windows;
       Alcotest.(check int) "messages" reference.posted r.posted;
       Alcotest.(check int) "fault drops" reference.dropped r.dropped)
@@ -103,48 +111,44 @@ let test_sequential_reproducible () =
   Alcotest.(check bool) "bit-identical rerun" true (a.outcome = b.outcome);
   Alcotest.(check int) "windows" a.windows b.windows
 
+(* Every plan kind at once, overlapping: a straggler, a loss burst, a
+   crash and restart, a fail-over, and a partition of a worker and a
+   client. *)
 let faults =
-  {
-    Draconis.Cluster.loss_windows = [| (Time.ms 2, Time.ms 4, 0.05) |];
-    cut_windows = [| (Time.ms 3, Time.ms 4, [ 1 ]) |];
-    slow_windows = [| (Time.ms 1, Time.ms 6, 2, 3.0) |];
-  }
+  Plan.of_string
+    "straggler@1ms:node=2,factor=3,dur=5ms;burst@2ms:dur=2ms,loss=0.05;\
+     crash@2500us:node=1,down=1ms;failover@3ms;partition@3ms:hosts=1+4,dur=1ms"
 
-(* Loss, partition and straggler windows produce the same (degraded)
-   outcome at every shard count. *)
+(* The plan's degraded outcome and recovery report are the same at every
+   LP count, on a window team of one lane and of two. *)
 let test_fault_equality () =
-  let r =
-    check_equal_across_lps (fun shards ->
-        run_cluster ~faults ~client_timeout:(Time.ms 2) shards)
+  let jobs = H.Pool.jobs () in
+  let by_team =
+    Fun.protect
+      ~finally:(fun () -> H.Pool.set_jobs jobs)
+      (fun () ->
+        List.map
+          (fun lanes ->
+            H.Pool.set_jobs lanes;
+            check_equal_across_lps (fun shards ->
+                run_cluster ~faults ~client_timeout:(Time.ms 2) shards))
+          [ 1; 2 ])
   in
+  let r = List.hd by_team in
+  List.iter
+    (fun r' ->
+      Alcotest.(check bool) "team size is outcome-neutral" true
+        (r'.outcome = r.outcome && r'.recovery = r.recovery && r'.windows = r.windows))
+    by_team;
   let o = r.outcome in
   Alcotest.(check bool) "faults dropped messages" true (r.dropped > 0);
+  Alcotest.(check int) "the fail-over fired" 1 r.recovery.failovers;
+  Alcotest.(check bool) "the standby recovered" true (r.recovery.recovery <> None);
   Alcotest.(check bool) "faults bit (losses recovered)" true
     (o.timeouts > 0 && o.completed > 100);
   Alcotest.(check bool) "drained" true o.drained;
   Alcotest.(check int) "completed + abandoned = submitted" o.submitted
     (o.completed + r.abandoned)
-
-(* The runtime injector fires on the switch LP's engine and mutates
-   state other LPs own, so its effect would depend on the shard count;
-   a sharded cluster must refuse it up front, whatever the plan. *)
-let test_injector_rejected_when_sharded () =
-  let module F = Draconis_fault in
-  let cluster, system =
-    H.Systems.draconis_cluster ~racks:2 ~shards:2 ~client_timeout:(Time.ms 2) spec
-  in
-  Fun.protect
-    ~finally:(fun () -> system.control.H.Systems.close ())
-    (fun () ->
-      List.iter
-        (fun plan ->
-          match F.Injector.arm (F.Plan.of_string plan) (F.Target.of_cluster cluster) with
-          | _ -> Alcotest.failf "%s armed on a sharded cluster" plan
-          | exception Invalid_argument msg ->
-            Alcotest.(check bool) "names the static alternative" true
-              (Astring.String.is_infix ~affix:"static_faults" msg))
-        [ "crash@2ms:node=1,down=1ms"; "burst@2ms:dur=1ms,loss=0.5";
-          "partition@2ms:hosts=1,dur=1ms" ])
 
 let test_executor_neutrality () =
   (* The barrier-window executor is pure execution vehicle: fanning each
@@ -215,13 +219,6 @@ let test_shards_exceed_lp_groups () =
         (1 switch LP + 6 hosts: 4 workers + 2 clients); lower --shards")
     (fun () -> ignore (run_cluster 8))
 
-let test_static_faults_require_shards () =
-  Alcotest.(check bool) "legacy cluster rejects static faults" true
-    (try
-       ignore (H.Systems.draconis ~racks:2 ~faults spec);
-       false
-     with Invalid_argument _ -> true)
-
 let test_feed_noop_rejects_staged () =
   let system = H.Systems.draconis ~racks:2 ~shards:2 spec in
   Fun.protect
@@ -261,9 +258,14 @@ let resubmitted clients =
   Array.fold_left (fun acc c -> acc + Draconis.Client.resubmitted c) 0 clients
 
 (* Runs where watchdogs do fire: 2% loss eats requests and replies, so
-   checks find no reply and executors re-send. *)
-let lossy_run ~system ~loss ~fabric ~clients ~resends =
-  Draconis_net.Fabric.set_loss_override fabric (Some loss);
+   checks find no reply and executors re-send.  The loss is one window
+   open for the whole run: each send in it draws once, as a fabric-wide
+   loss would.  It opens at 1 ns, after the first request of each
+   node's first executor, which [Cluster.start] sends at time 0 while
+   the system is built. *)
+let lossy = Plan.of_string "burst@1ns:dur=100s,loss=0.02"
+
+let lossy_run ~system ~clients ~resends =
   let driver = H.Exp_common.synthetic_driver kind ~rate_tps:40_000.0 ~horizon in
   let o = H.Runner.run system ~driver ~load_tps:40_000.0 ~horizon () in
   Alcotest.(check bool) "watchdogs fired" true (resends () > 0);
@@ -272,13 +274,14 @@ let lossy_run ~system ~loss ~fabric ~clients ~resends =
 
 let test_lossy_legacy_pinned () =
   let cluster, system =
-    H.Systems.draconis_cluster ~client_timeout:(Time.ms 1) { spec with seed = 3 }
+    H.Systems.draconis_cluster ~client_timeout:(Time.ms 1) ~faults:lossy
+      { spec with seed = 3 }
   in
   Alcotest.(check string) "outcome"
     "p50=51575 p99=3936174 mean=552730.564270 dps=46600.000 sub=402 start=459 done=402 \
      timeouts=72 rej=0 recirc=0.048607 rdrop=0 swaps=0 recircs=178 flags=178 drained=true \
      resubmitted=72 resends=121"
-    (lossy_run ~system ~loss:0.02 ~fabric:(Draconis.Cluster.fabric cluster)
+    (lossy_run ~system
        ~clients:(fun () -> Draconis.Cluster.clients cluster)
        ~resends:(fun () ->
          Array.fold_left
@@ -288,14 +291,14 @@ let test_lossy_legacy_pinned () =
 let test_lossy_central_server_pinned () =
   let module Cs = Draconis_baselines.Central_server in
   let server, system =
-    H.Systems.central_server_system ~client_timeout:(Time.ms 2) Cs.Dpdk
+    H.Systems.central_server_system ~client_timeout:(Time.ms 2) ~faults:lossy Cs.Dpdk
       { spec with seed = 3 }
   in
   Alcotest.(check string) "outcome"
     "p50=6975 p99=6400304 mean=706640.414692 dps=43100.000 sub=402 start=422 done=399 \
      timeouts=95 rej=0 recirc=0.000000 rdrop=0 swaps=0 recircs=0 flags=0 drained=true \
      resubmitted=92 resends=1"
-    (lossy_run ~system ~loss:0.02 ~fabric:(Cs.fabric server)
+    (lossy_run ~system
        ~clients:(fun () -> Cs.clients server)
        ~resends:(fun () -> Cs.watchdog_resends server))
 
@@ -313,14 +316,10 @@ let suite =
       test_sequential_reproducible;
     Alcotest.test_case "static faults bit-identical across shards" `Quick
       test_fault_equality;
-    Alcotest.test_case "runtime injector rejected when sharded" `Quick
-      test_injector_rejected_when_sharded;
     Alcotest.test_case "window team is outcome-neutral" `Quick
       test_executor_neutrality;
     Alcotest.test_case "shards > LP groups fails loud" `Quick
       test_shards_exceed_lp_groups;
-    Alcotest.test_case "static faults require sharding" `Quick
-      test_static_faults_require_shards;
     Alcotest.test_case "feed_noop rejects staged systems" `Quick
       test_feed_noop_rejects_staged;
   ]
